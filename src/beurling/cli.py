@@ -57,6 +57,18 @@ def _parse_complex(text: str) -> complex:
     return complex(float(cleaned), 0.0)
 
 
+def _complex_text(text: str) -> str:
+    """argparse type: check that the text is a complex point, and keep the text.
+
+    The manifest echoes `--s` verbatim, so the parsed value is not stored.
+    """
+    try:
+        _parse_complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid complex value: {text!r}") from None
+    return text
+
+
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
@@ -391,8 +403,35 @@ def cmd_axioms(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one diagnostic line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _usage_problem(args) -> str | None:
+    """What this option combination lacks or cannot parse, if anything."""
+    if args.command == "perron" and args.T is None and not args.scan:
+        return "perron needs --T or --scan"
+    if args.command == "mellin":
+        name, parse, values = (
+            ("--x", float, args.x) if args.op == "partition" else ("--s", _parse_complex, args.s)
+        )
+        if values is None:
+            return f"mellin --op {args.op} needs {name}"
+        for text in values:
+            try:
+                parse(text)
+            except ValueError:
+                return f"argument {name}: invalid value {text!r}"
+    if args.command == "order" and args.action == "reconstruct" and args.oracle is None:
+        return "order reconstruct needs --oracle"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beurling",
         description="Computable Beurling generalised prime systems",
     )
@@ -427,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="zeta/phi evaluators with tail bounds")
     add_common(p)
-    p.add_argument("--s", action="append", required=True, help="complex point, e.g. 2+10i")
+    p.add_argument("--s", action="append", required=True, type=_complex_text,
+                   help="complex point, e.g. 2+10i")
     p.add_argument("--method", choices=["euler", "dirichlet", "mellin", "continued", "phi"],
                    default="euler")
     p.add_argument("--cutoff", type=float, default=None)
@@ -510,6 +550,9 @@ def main(argv=None) -> int:
     try:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        problem = _usage_problem(args)
+        if problem:
+            parser.error(problem)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,9 +2,12 @@
 
 The sorted stream uses a min-heap over (log value, exponent vector): popping
 a vector pushes its extensions by primes at indices >= its highest used
-index, so every exponent vector is generated exactly once.  The counting
-operations do not need the sorted order and use a much faster depth-first
-walk with a binary-search shortcut for childless branches.
+index, so every exponent vector is generated exactly once.  Everything that
+does not need the sorted order (N(x), the Dirichlet power sums, and the
+materialised value arrays, sorted afterwards) consumes one depth-first walk,
+`_walk`, which hands each node's childless branches to its consumer as one
+index range found by binary search.  Sorted arrays are materialised through
+one capped path that counts before it collects.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
@@ -12,10 +15,8 @@ and grid reports flag the boundary hit.
 """
 from __future__ import annotations
 
-import csv
+import cmath
 import heapq
-import io
-import json
 import math
 import warnings
 from bisect import bisect_right
@@ -28,7 +29,7 @@ from .errors import (
     MaterialisationError,
     ParameterError,
 )
-from .systems import G_ONE, GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
+from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
 
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
@@ -99,43 +100,71 @@ def stream_gintegers(system: GPrimeSystem, bound: float) -> GIntegerStream:
     return GIntegerStream(system, bound)
 
 
-def _count_leq(logs, log_bound: float, tol: float) -> int:
-    """Number of exponent vectors with log value <= log_bound + tol.
+def _walk(system: GPrimeSystem, log_bound: float, tol: float):
+    """Depth-first walk over the exponent vectors with log value <= log_bound + tol.
 
-    Iterative DFS over (start index, remaining log budget); branches whose
-    children cannot themselves branch are counted in one bisect.
+    Yields (log value, i, mid, hi) per node.  The node's children extend it
+    by the primes at indices i..hi-1; those from mid on cannot extend any
+    further, so consumers account for them in bulk and only the children
+    below mid are walked as nodes themselves.
     """
-    logs = list(logs)
-    total = 0
-    stack = [(0, log_bound)]
-    while stack:
-        i, b = stack.pop()
-        total += 1
-        bt = b + tol
-        hi = bisect_right(logs, bt, i)
-        mid = bisect_right(logs, bt / 2, i)
-        total += hi - mid
-        for j in range(i, mid):
-            stack.append((j, b - logs[j]))
-    return total
-
-
-def _collect_logs_leq(logs, log_bound: float, tol: float) -> np.ndarray:
-    """Unsorted log values of all exponent vectors <= the bound."""
-    logs = list(logs)
-    arr = np.asarray(logs)
-    out: list[np.ndarray] = []
+    logs = system._log_list
     stack = [(0, 0.0)]
     while stack:
         i, lv = stack.pop()
         bt = log_bound + tol - lv
         hi = bisect_right(logs, bt, i)
-        out.append(lv + arr[i:hi])
         mid = bisect_right(logs, bt / 2, i)
+        yield lv, i, mid, hi
         for j in range(i, mid):
             stack.append((j, lv + logs[j]))
-    flat = np.concatenate([np.array([0.0])] + out) if out else np.array([0.0])
-    return flat
+
+
+def _count_leq(system: GPrimeSystem, log_bound: float, tol: float) -> int:
+    """Number of exponent vectors with log value <= log_bound + tol."""
+    return sum(1 + hi - mid for _, _, mid, hi in _walk(system, log_bound, tol))
+
+
+def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
+    """Unsorted log values of all exponent vectors <= the bound."""
+    logs = system._logs
+    out = [lv + logs[i:hi] for lv, i, _, hi in _walk(system, log_bound, tol)]
+    return np.concatenate([np.array([0.0])] + out)
+
+
+def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
+    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol."""
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system._logs))])
+    total = 0.0 + 0.0j
+    count = 0
+    for lv, _, mid, hi in _walk(system, log_bound, tol):
+        nv = cmath.exp(-s * lv)
+        total += nv
+        count += 1
+        total += nv * (prefix[hi] - prefix[mid])
+        count += hi - mid
+    return total, count
+
+
+def _sorted_logs_leq(
+    system: GPrimeSystem,
+    bound: float,
+    warn_cap: int = MATERIALISE_WARN_CAP,
+    refuse_cap: int = MATERIALISE_REFUSE_CAP,
+) -> np.ndarray:
+    """Sorted log values of the g-integers <= bound, with multiplicity.
+
+    Counts above refuse_cap raise, above warn_cap warn; the count runs
+    before anything is materialised.
+    """
+    lb = math.log(bound)
+    tol = log_tolerance(bound)
+    n = _count_leq(system, lb, tol)
+    if n > refuse_cap:
+        raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
+    if n > warn_cap:
+        warnings.warn(f"materialising {n} g-integers (warn cap {warn_cap})")
+    return np.sort(_collect_logs_leq(system, lb, tol))
 
 
 def g_integer_values(
@@ -152,15 +181,7 @@ def g_integer_values(
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
     _check_bound(system, bound)
-    lb = math.log(bound)
-    tol = log_tolerance(bound)
-    n = _count_leq(system._logs, lb, tol)
-    if n > refuse_cap:
-        raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
-    if n > warn_cap:
-        warnings.warn(f"materialising {n} g-integers (warn cap {warn_cap})")
-    vals = np.exp(np.sort(_collect_logs_leq(system._logs, lb, tol)))
-    return vals
+    return np.exp(_sorted_logs_leq(system, bound, warn_cap, refuse_cap))
 
 
 def count_N(system: GPrimeSystem, x: float) -> int:
@@ -168,7 +189,7 @@ def count_N(system: GPrimeSystem, x: float) -> int:
     if x < 1:
         raise ParameterError(f"x must be >= 1, got {x}")
     _check_bound(system, x, "x")
-    return _count_leq(system._logs, math.log(x), log_tolerance(x))
+    return _count_leq(system, math.log(x), log_tolerance(x))
 
 
 def count_pi(system: GPrimeSystem, x: float) -> int:
@@ -176,7 +197,7 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
     _check_bound(system, x, "x")
     if x <= 1:
         return 0
-    return int(bisect_right(list(system._logs), math.log(x) + log_tolerance(x)))
+    return int(np.searchsorted(system._logs, math.log(x) + log_tolerance(x), side="right"))
 
 
 def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,28 +339,6 @@ class CountingReport:
     boundary_hits: list[float] = field(default_factory=list)
     label: str = ""
 
-    def to_csv(self, manifest: dict | None = None) -> str:
-        buf = io.StringIO()
-        for key, val in (manifest or {}).items():
-            buf.write(f"# {key}={val}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "N", "pi", "psi"])
-        for x, n, p, ps in zip(self.grid, self.N, self.pi, self.psi):
-            writer.writerow([repr(float(x)), int(n), int(p), repr(float(ps))])
-        return buf.getvalue()
-
-    def to_json(self, manifest: dict | None = None) -> str:
-        payload = {
-            "manifest": manifest or {},
-            "rho_hat": self.rho_hat,
-            "boundary_hits": list(map(float, self.boundary_hits)),
-            "rows": [
-                {"x": float(x), "N": int(n), "pi": int(p), "psi": float(ps)}
-                for x, n, p, ps in zip(self.grid, self.N, self.pi, self.psi)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     """One-pass counting report over a sorted grid of query points."""
@@ -351,22 +350,22 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     top = float(grid[-1])
     _check_bound(system, top, "grid maximum")
 
-    vals_log = np.sort(_collect_logs_leq(system._logs, math.log(top), log_tolerance(top)))
-    grid_log = np.log(grid) + np.array([log_tolerance(x) for x in grid])
+    vals_log = _sorted_logs_leq(system, top)
+    tols = np.array([log_tolerance(x) for x in grid])
+    grid_log = np.log(grid) + tols
     N = np.searchsorted(vals_log, grid_log, side="right")
 
-    plogs = np.asarray(system._logs)
-    pi_counts = np.searchsorted(plogs, grid_log, side="right")
+    pi_counts = np.searchsorted(system._logs, grid_log, side="right")
 
     L, W = prime_power_table(system, top)
     cumW = np.concatenate([[0.0], np.cumsum(W)])
     psi_vals = cumW[np.searchsorted(L, grid_log, side="right")]
 
-    boundary = [
-        float(x)
-        for x, gl in zip(grid, grid_log)
-        if len(vals_log) and np.any(np.abs(vals_log - (gl - log_tolerance(x))) <= 2 * log_tolerance(x))
-    ]
+    # a g-integer within 2 tol of x's log value sits on the boundary
+    centre = grid_log - tols
+    lo = np.searchsorted(vals_log, centre - 2 * tols, side="left")
+    hi = np.searchsorted(vals_log, centre + 2 * tols, side="right")
+    boundary = grid[hi > lo].tolist()
 
     half = len(grid) // 2
     xs = grid[half:]

@@ -160,7 +160,7 @@ def _cached_values(system: GPrimeSystem, bound: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _rho_hat(system: GPrimeSystem) -> float:
-    n = _count_leq(system._logs, math.log(system.limit), log_tolerance(system.limit))
+    n = _count_leq(system, math.log(system.limit), log_tolerance(system.limit))
     return n / system.limit
 
 

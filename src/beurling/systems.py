@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -60,6 +61,7 @@ class GPrimeSystem:
                 f"limit {self.limit} is below the largest prime {self.primes[-1]}"
             )
         logs = np.log(np.asarray(self.primes, dtype=float))
+        logs.flags.writeable = False
         object.__setattr__(self, "_logs", logs)
 
     @property
@@ -71,20 +73,10 @@ class GPrimeSystem:
         """Natural logs of the primes, same order as `primes`. Read-only."""
         return self._logs
 
-    def tied_prime_indices(self) -> list[tuple[int, int]]:
-        """Pairs (i, j), i < j, of distinct entries with numerically equal values.
-
-        Exact value collisions between distinct g-primes (e.g. p2 == p1**2 is a
-        different kind; here p_i == p_j) are legal under the multiset reading;
-        reports surface them rather than deciding anything silently.
-        """
-        out = []
-        for i in range(self.nprimes - 1):
-            j = i + 1
-            while j < self.nprimes and abs(self._logs[j] - self._logs[i]) <= LOG_TIE_TOL:
-                out.append((i, j))
-                j += 1
-        return out
+    @cached_property
+    def _log_list(self) -> list[float]:
+        """`log_primes` as a Python list, built on first use, for `bisect`."""
+        return self._logs.tolist()
 
 
 @dataclass(frozen=True)
@@ -109,9 +101,6 @@ class GInteger:
 
     def is_prime_power(self) -> bool:
         return len(self.exponents) == 1
-
-    def recomputed_log(self, system: GPrimeSystem) -> float:
-        return float(sum(a * system._logs[i] for i, a in self.exponents))
 
 
 G_ONE = GInteger((), 0.0)

@@ -17,15 +17,13 @@ power transform explicitly when they want the abscissa moved to 1.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .counting import _collect_logs_leq, _count_leq, prime_power_table
+from .counting import _power_sum_leq, _sorted_logs_leq, prime_power_table
 from .errors import DivergenceError, FitError, ParameterError, PoleError
 from .systems import GPrimeSystem, log_tolerance
 
@@ -44,21 +42,6 @@ class TailedValue:
 
     def __complex__(self) -> complex:
         return self.value
-
-
-@dataclass(frozen=True)
-class ZetaEvalParams:
-    """Bundled evaluation parameters (used by the CLI; evaluators also take
-    the fields directly)."""
-
-    s: complex
-    prime_cutoff: float
-    integer_cutoff: float
-    tail_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.tail_tolerance > 0):
-            raise ParameterError("tail_tolerance must be > 0")
 
 
 def _require_convergent(s: complex, what: str) -> None:
@@ -96,29 +79,6 @@ def zeta_euler(system: GPrimeSystem, s: complex, prime_cutoff: float | None = No
     tail_log /= max(1e-300, 1.0 - X ** (-sigma))
     bound = abs(value) * math.expm1(tail_log) if tail_log < 700 else math.inf
     return TailedValue(value, bound, "euler", X)
-
-
-def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
-    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol."""
-    logs_list = list(system.log_primes)
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system.log_primes))])
-    total = 0.0 + 0.0j
-    count = 0
-    stack = [(0, 0.0)]
-    cexp = cmath.exp
-    while stack:
-        i, lv = stack.pop()
-        nv = cexp(-s * lv)
-        total += nv
-        count += 1
-        bt = log_bound + tol - lv
-        hi = bisect_right(logs_list, bt, i)
-        mid = bisect_right(logs_list, bt / 2, i)
-        total += nv * (prefix[hi] - prefix[mid])
-        count += hi - mid
-        for j in range(i, mid):
-            stack.append((j, lv + logs_list[j]))
-    return total, count
 
 
 def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | None = None) -> TailedValue:
@@ -262,9 +222,7 @@ def zeta_mellin_identity_check(system: GPrimeSystem, s: complex, x_max: float) -
         raise ParameterError(f"x_max {x_max} exceeds system limit {system.limit}")
     if x_max < 1:
         raise ParameterError("x_max must be >= 1")
-    logs = np.sort(
-        _collect_logs_leq(system._logs, math.log(x_max), log_tolerance(x_max))
-    )
+    logs = _sorted_logs_leq(system, x_max)
     # segment [v_k, v_{k+1}) carries N = k+1; the last runs to X
     lo = np.exp(-s * logs)
     hi = np.empty_like(lo)

@@ -56,6 +56,26 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "perron --system builtin:rationals --limit 1000 --x 500.5",
+        "mellin --kernel exp --op transform",
+        "mellin --kernel exp --op transform --s 2+zi",
+        "mellin --kernel exp --op partition --system builtin:rationals --limit 1000",
+        "mellin --kernel exp --op partition --system builtin:rationals --limit 1000 --x one",
+        "zeta --system builtin:rationals --limit 1000 --s abc",
+        "order reconstruct --limit 72",
+    ],
+)
+def test_usage_error_one_line_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("beurling")
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(capsys):
     args = (
         "zeta", "--system", "builtin:rationals", "--limit", "10000",

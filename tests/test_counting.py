@@ -18,8 +18,14 @@ from beurling import (
     stream_gintegers,
     von_mangoldt,
 )
-from beurling.counting import prime_power_table
+from beurling.counting import (
+    _collect_logs_leq,
+    _count_leq,
+    _power_sum_leq,
+    prime_power_table,
+)
 from beurling.errors import IncompleteSystemError, ParameterError
+from beurling.systems import log_tolerance
 
 
 def brute_force_values(primes, bound):
@@ -221,19 +227,6 @@ def test_report_consistency_with_pointwise():
     assert abs(rep.rho_hat - 1.0) < 0.01
 
 
-def test_report_serialisation():
-    s = rational_primes(50)
-    rep = counting_report(s, [10, 20, 30])
-    csv_text = rep.to_csv({"system": "rationals"})
-    assert csv_text.startswith("# system=rationals\n")
-    assert "x,N,pi,psi" in csv_text
-    js = rep.to_json({"system": "rationals"})
-    import json
-
-    data = json.loads(js)
-    assert data["rows"][0]["N"] == 10
-
-
 def test_gap_window_single_prime():
     s = from_list([2.0], limit=100)
     w = gap_window(s, 10)
@@ -284,3 +277,78 @@ def test_materialise_caps():
 
     with pytest.raises(MaterialisationError):
         g_integer_values(s, 10**4 - 0.5, refuse_cap=100)
+
+
+def _walk_systems():
+    rng = random.Random(17)
+    systems = [from_list([2.0], limit=200), from_list([1.5, 1.5, 1.5, 2.0], limit=200)]
+    for _ in range(6):
+        k = rng.randint(1, 8)
+        primes = [round(1.1 + rng.random() * 9, 3) for _ in range(k)]
+        primes += primes[: rng.randint(0, k)]  # repeated primes
+        systems.append(from_list(primes, limit=200))
+    return systems
+
+
+@pytest.mark.parametrize("system", _walk_systems(), ids=lambda s: str(s.primes))
+def test_walk_consumers_agree_with_stream(system):
+    rng = random.Random(len(system.primes))
+    for bound in (1.0, 7.5, rng.uniform(1, 200), 200.0):
+        lb, tol = math.log(bound), log_tolerance(bound)
+        stream = list(stream_gintegers(system, bound))
+        s = complex(rng.uniform(1.1, 3.0), rng.uniform(-20.0, 20.0))
+        value, count = _power_sum_leq(system, lb, tol, s)
+        n = _count_leq(system, lb, tol)
+        assert n == len(_collect_logs_leq(system, lb, tol)) == count == len(stream)
+        brute = sum(np.exp(-s * g.log_value) for g in stream)
+        assert abs(value - brute) <= 1e-12 * sum(np.exp(-s.real * g.log_value) for g in stream)
+
+
+def test_log_primes_read_only():
+    s = from_list([2, 3, 5], limit=100)
+    with pytest.raises(ValueError):
+        s.log_primes[0] = 0.0
+    with pytest.raises(ValueError):
+        s.log_primes[:] += 1.0
+
+
+def test_walked_system_equal_and_hash_equal():
+    a = from_list([2, 2, 3.5], limit=100)
+    b = from_list([2, 2, 3.5], limit=100)
+    assert a == b and hash(a) == hash(b)
+    count_N(a, 50)  # builds a's cached log list; b stays unwalked
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+
+
+def _boundary_brute_force(system, grid):
+    """The boundary-hit definition, one full scan per grid point."""
+    grid = np.asarray(sorted(grid))
+    top = grid[-1]
+    vals_log = np.sort(_collect_logs_leq(system, math.log(top), log_tolerance(top)))
+    grid_log = np.log(grid) + np.array([log_tolerance(x) for x in grid])
+    return [
+        float(x)
+        for x, gl in zip(grid, grid_log)
+        if np.any(np.abs(vals_log - (gl - log_tolerance(x))) <= 2 * log_tolerance(x))
+    ]
+
+
+@pytest.mark.parametrize(
+    "system,grid,expect",
+    [
+        (rational_primes(1000), [float(n) for n in range(1, 1001)], "all"),
+        (rational_primes(1000), [n + 0.5 for n in range(1, 1000)], "none"),
+        (gaussian_system(2000), [float(n) for n in range(1, 2001, 3)], None),
+    ],
+    ids=["rational-integers", "rational-half-integers", "gaussian"],
+)
+def test_boundary_hits_match_brute_force(system, grid, expect):
+    hits = counting_report(system, grid).boundary_hits
+    assert hits == _boundary_brute_force(system, grid)
+    if expect == "all":
+        assert hits == grid
+    elif expect == "none":
+        assert hits == []
+    else:
+        assert 0 < len(hits) < len(grid)

@@ -7,7 +7,6 @@ import pytest
 from beurling import from_list, gaussian_system, rational_primes
 from beurling.errors import DivergenceError, FitError, ParameterError, PoleError
 from beurling.zeta import (
-    ZetaEvalParams,
     classify_ab,
     estimate_order,
     phi_continued,
@@ -253,11 +252,6 @@ def test_classify_ab_single_prime_degenerate():
 def test_classify_ab_grid_validation(rp1e4):
     with pytest.raises(ParameterError):
         classify_ab(rp1e4, [100, 200, 300, 400])
-
-
-def test_eval_params_validation():
-    with pytest.raises(ParameterError):
-        ZetaEvalParams(2.0, 100.0, 100.0, tail_tolerance=0.0)
 
 
 def test_power_transform_rescales_zeta_argument():
