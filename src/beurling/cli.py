@@ -2,8 +2,8 @@
 
 Output is deterministic given the configuration: CSV rows carry `#`-prefixed
 manifest lines echoing the resolved config and library version; JSON output
-carries the same manifest as a top-level object.  Exit codes: 0 success,
-1 domain error (diagnostic on stderr), 2 usage error.
+carries the same manifest as a top-level object.  Exit codes: 0 success, 1 domain
+error or unreadable file, 2 malformed, missing or NaN option (one stderr line each).
 
 No plotting here; the emitted columns are plot-ready for external tools.
 Renormalisation is explicit: `--power LAMBDA` applies the power transform
@@ -12,18 +12,21 @@ at load time, never implicitly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .counting import counting_report, stream_gintegers
-from .errors import BeurlingError, ParameterError
+from .errors import BeurlingError, IncompleteSystemError, ParameterError
 from .mellin import (
     EXPANSIONS,
     KERNELS,
@@ -37,53 +40,84 @@ from .mellin import (
     residual_series_from_json,
     theta_pair,
 )
-from .orders import (
-    InducedOracle,
-    ProcessOracle,
-    check_axioms,
-    orderings_coincide,
-    reconstruct,
-)
+from .orders import InducedOracle, OrderOracle, ProcessOracle, check_axioms, orderings_coincide, reconstruct
 from .perron import PerronParams, perron_convergence_scan, perron_psi
 from .counting import psi as psi_exact
-from .systems import from_file, from_list, gaussian_system, power_system, rational_primes
-from .zeta import phi_continued, phi_dirichlet, zeta_dirichlet, zeta_euler, zeta_mellin_identity_check
+from .systems import GPrimeSystem, from_file, from_list, gaussian_system, power_system, rational_primes
+from .zeta import TailedValue, phi_continued, phi_dirichlet, zeta_dirichlet, zeta_euler, zeta_mellin_identity_check
+
+
+MAX_GRID_POINTS = 10**6
+
+
+def _parse_real(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(f"NaN is not a value: {text!r}")
+    return value
 
 
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
-    if cleaned.endswith("j") or "j" in cleaned:
-        return complex(cleaned)
-    return complex(float(cleaned), 0.0)
+    value = complex(cleaned) if "j" in cleaned else complex(float(cleaned), 0.0)
+    if not cmath.isfinite(value):
+        raise ValueError(f"not a finite complex point: {text!r}")
+    return value
 
 
-def _complex_text(text: str) -> str:
-    """argparse type: check that the text is a complex point, and keep the text.
-
-    The manifest echoes `--s` verbatim, so the parsed value is not stored.
-    """
-    try:
-        _parse_complex(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid complex value: {text!r}") from None
-    return text
+def _parse_list(parse):
+    """A parser of comma lists whose items `parse` reads."""
+    return lambda text: [parse(tok) for tok in text.split(",")]
 
 
-def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"grid spec must be a:b:step, got {text!r}")
-        a, b, step = map(float, parts)
-        if step <= 0 or b < a:
-            raise ParameterError(f"bad grid spec {text!r}")
-        n = int(math.floor((b - a) / step + 1e-9)) + 1
-        return [a + i * step for i in range(n)]
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_window(text: str) -> tuple[int, int]:
+    M, N = (int(tok) for tok in text.split(","))
+    return M, N
 
 
-def _load_system(args) -> "GPrimeSystem":
-    spec = args.system
+def _grid_points(text: str) -> tuple[float, int, Iterable[float]]:
+    """Top, size and points of `a:b:step` (points as a generator: nothing built yet) or `x1,x2,...`."""
+    if ":" not in text:
+        points = [_parse_real(tok) for tok in text.split(",") if tok.strip()]
+        return max(points, default=-math.inf), len(points), points
+    a, b, step = map(_parse_real, text.split(":"))  # ValueError unless three parts
+    if not (step > 0 and a <= b and (b - a) / step < math.inf):
+        raise ValueError(f"bad grid spec {text!r}")
+    n = int(math.floor((b - a) / step + 1e-9)) + 1
+    return a + (n - 1) * step, n, (a + i * step for i in range(n))
+
+
+def _parse_grid(text: str, limit: float) -> list[float]:
+    top, n, points = _grid_points(text)
+    if top > limit:
+        raise IncompleteSystemError(f"grid maximum {top} exceeds the system's completeness horizon {limit}")
+    if n > MAX_GRID_POINTS:
+        raise ParameterError(f"grid has {n} points, more than {MAX_GRID_POINTS}")
+    return list(points)
+
+
+def _checked(parse):
+    """argparse type: check the text with `parse`, but keep the text (the manifest echoes it)."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        return text
+    return check
+
+
+def _real(text: str) -> float:
+    """argparse type of the float options: a float, but not NaN."""
+    return float(_checked(_parse_real)(text))
+
+
+def _parse_system(spec: str) -> list[float]:
+    """The primes of a `list:` spec; other specs are checked when they load."""
+    return [float(v) for v in spec[5:].split(",")] if spec.startswith("list:") else []
+
+
+def _load_system(args, spec: str | None) -> GPrimeSystem:
     if spec is None:
         raise ParameterError("this command needs --system")
     if spec.startswith("builtin:"):
@@ -101,9 +135,8 @@ def _load_system(args) -> "GPrimeSystem":
         if args.limit is not None:
             system = from_list(list(system.primes), args.limit, label=system.label)
     elif spec.startswith("list:"):
-        values = [float(v) for v in spec.split(":", 1)[1].split(",")]
-        limit = args.limit if args.limit is not None else max(values)
-        system = from_list(values, limit)
+        values = _parse_system(spec)
+        system = from_list(values, args.limit if args.limit is not None else max(values))
     else:
         raise ParameterError(f"unknown system spec {spec!r}")
     if getattr(args, "power", None):
@@ -155,7 +188,7 @@ def _fmt(x) -> str:
 
 
 def cmd_gen(args) -> int:
-    system = _load_system(args)
+    system = _load_system(args, args.system)
     rows = []
     for g in stream_gintegers(system, args.bound):
         exps = " ".join(f"{i}^{a}" for i, a in g.exponents) or "1"
@@ -165,9 +198,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_count(args) -> int:
-    system = _load_system(args)
-    grid = _parse_grid(args.grid)
-    report = counting_report(system, grid)
+    system = _load_system(args, args.system)
+    report = counting_report(system, _parse_grid(args.grid, system.limit))
     rows = [
         [_fmt(float(x)), int(n), int(p), _fmt(float(ps))]
         for x, n, p, ps in zip(report.grid, report.N, report.pi, report.psi)
@@ -177,52 +209,52 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_zeta(args) -> int:
-    system = _load_system(args)
+def _mellin_identity(system, s: complex, cutoff: float | None) -> TailedValue:
+    """The Mellin-identity residual as a value with no tail."""
+    x_max = cutoff if cutoff else system.limit
+    return TailedValue(complex(zeta_mellin_identity_check(system, s, x_max)), 0.0, "mellin", x_max)
 
-    def evaluate(stext: str):
-        s = _parse_complex(stext)
-        if args.method == "euler":
-            r = zeta_euler(system, s, args.cutoff)
-            val, tail = r.value, r.tail_bound
-        elif args.method == "dirichlet":
-            r = zeta_dirichlet(system, s, args.cutoff)
-            val, tail = r.value, r.tail_bound
-        elif args.method == "continued":
-            r = phi_continued(system, s, args.cutoff)
-            val, tail = r.value, r.tail_bound
-        elif args.method == "phi":
-            r = phi_dirichlet(system, s, args.cutoff)
-            val, tail = r.value, r.tail_bound
-        else:  # mellin identity residual
-            x_max = args.cutoff if args.cutoff else system.limit
-            resid = zeta_mellin_identity_check(system, s, x_max)
-            val, tail = complex(resid), 0.0
-        return [_fmt(s.real), _fmt(s.imag), _fmt(val.real), _fmt(val.imag), _fmt(tail)]
+
+# --method name -> evaluator(system, s, cutoff); the keys are the choices.  The
+# lambdas look the library functions up by name when called, so a rebinding of
+# this module's names (bench/tracer.py wraps every layer that way) reaches them.
+ZETA_METHODS = {
+    "euler": lambda system, s, cutoff: zeta_euler(system, s, cutoff),
+    "dirichlet": lambda system, s, cutoff: zeta_dirichlet(system, s, cutoff),
+    "mellin": _mellin_identity,
+    "continued": lambda system, s, cutoff: phi_continued(system, s, cutoff),
+    "phi": lambda system, s, cutoff: phi_dirichlet(system, s, cutoff),
+}
+S_HEADER = ["s_re", "s_im", "value_re", "value_im"]
+
+
+def _s_rows(texts: list[str], evaluate, threads: int = 1) -> list[list[str]]:
+    """One row per s-point: s, then the value and the tail `evaluate(s)` gives."""
+    def row(text: str) -> list[str]:
+        s = _parse_complex(text)
+        r = evaluate(s)
+        return [_fmt(s.real), _fmt(s.imag), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)]
 
     # evaluations are pure; shard across threads, assemble in input order
-    if args.threads > 1 and len(args.s) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if threads > 1 and len(texts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(row, texts))
+    return [row(text) for text in texts]
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(evaluate, args.s))
-    else:
-        rows = [evaluate(stext) for stext in args.s]
-    _emit(
-        args,
-        _manifest(args, "zeta"),
-        ["s_re", "s_im", "value_re", "value_im", "tail_bound"],
-        rows,
-    )
+
+def cmd_zeta(args) -> int:
+    system = _load_system(args, args.system)
+    rows = _s_rows(args.s, lambda s: ZETA_METHODS[args.method](system, s, args.cutoff), args.threads)
+    _emit(args, _manifest(args, "zeta"), S_HEADER + ["tail_bound"], rows)
     return 0
 
 
 def cmd_perron(args) -> int:
-    system = _load_system(args)
+    system = _load_system(args, args.system)
     rows = []
     header = ["T", "value", "oracle", "error", "budget", "imag_residual"]
     if args.scan:
-        ts = [float(t) for t in args.scan.split(",")]
+        ts = _parse_list(_parse_real)(args.scan)
         scan = perron_convergence_scan(system, args.x, ts, threads=args.threads)
         for (T, value, err, budget) in scan.rows:
             rows.append([_fmt(T), _fmt(value), _fmt(scan.oracle), _fmt(err), _fmt(budget), ""])
@@ -261,25 +293,18 @@ def cmd_mellin(args) -> int:
     kernel = KERNELS.get(args.kernel)
     if kernel is None:
         raise ParameterError(f"unknown kernel {args.kernel!r}; have {sorted(KERNELS)}")
-    rows = []
     if args.op == "transform":
-        for stext in args.s:
-            s = _parse_complex(stext)
-            r = mellin_G(kernel, s)
-            rows.append([_fmt(s.real), _fmt(s.imag), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)])
-        header = ["s_re", "s_im", "value_re", "value_im", "quad_error"]
+        rows = _s_rows(args.s, lambda s: mellin_G(kernel, s))
+        header = S_HEADER + ["quad_error"]
     elif args.op == "continue":
-        system = _load_system(args)
+        system = _load_system(args, args.system)
         expansion = _load_expansion(args.expansion or args.kernel)
-        for stext in args.s:
-            s = _parse_complex(stext)
-            r = continue_Gzeta(system, kernel, expansion, s)
-            rows.append([_fmt(s.real), _fmt(s.imag), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)])
-        header = ["s_re", "s_im", "value_re", "value_im", "tail_bound"]
+        rows = _s_rows(args.s, lambda s: continue_Gzeta(system, kernel, expansion, s))
+        header = S_HEADER + ["tail_bound"]
     else:  # partition
-        system = _load_system(args)
-        for xtext in args.x:
-            x = float(xtext)
+        system = _load_system(args, args.system)
+        rows = []
+        for x in map(float, args.x):
             r = partition_F(system, kernel, x)
             rows.append([_fmt(x), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)])
         header = ["x", "F_re", "F_im", "tail_bound"]
@@ -288,10 +313,12 @@ def cmd_mellin(args) -> int:
 
 
 def cmd_fe_check(args) -> int:
+    if not (0 < args.x_min < math.inf and 0 < args.x_max < math.inf and args.x_points >= 0):
+        raise ParameterError("fe-check needs finite --x-min, --x-max > 0 and --x-points >= 0")
     if args.pair == "theta":
         spec1, spec2, H = theta_pair(args.limit or 10**4)
     else:
-        system = _load_system(args)
+        system = _load_system(args, args.system)
         kernel = KERNELS.get(args.kernel)
         if kernel is None:
             raise ParameterError(f"unknown kernel {args.kernel!r}")
@@ -316,8 +343,7 @@ def cmd_fe_check(args) -> int:
         )
     extra = {"max_abs_residual": _fmt(worst)}
     if args.s_grid:
-        sgrid = [_parse_complex(tok) for tok in args.s_grid.split(",")]
-        rep = check_fe_mellin(spec1, spec2, sgrid)
+        rep = check_fe_mellin(spec1, spec2, _parse_list(_parse_complex)(args.s_grid))
         extra["mellin_max_residual"] = _fmt(rep.max_residual)
         extra["mellin_skipped"] = ";".join(str(s) for s, _ in rep.skipped) or "none"
     _emit(
@@ -330,28 +356,21 @@ def cmd_fe_check(args) -> int:
     return 0
 
 
-def _load_oracle(spec: str, args):
-    if spec.startswith("cmd:"):
-        return ProcessOracle(spec.split(":", 1)[1])
-    if spec.startswith("system:"):
-        return InducedOracle(from_file(spec.split(":", 1)[1]))
-    if spec.startswith("builtin:"):
-        saved = args.system
-        args.system = spec
-        system = _load_system(args)
-        args.system = saved
-        return InducedOracle(system)
-    raise ParameterError(f"unknown oracle spec {spec!r}")
+def _load_oracle(args) -> OrderOracle:
+    kind, _, rest = args.oracle.partition(":")
+    if kind == "cmd":
+        return ProcessOracle(rest)
+    if kind == "system":
+        return InducedOracle(from_file(rest))
+    if kind == "builtin":
+        return InducedOracle(_load_system(args, args.oracle))
+    raise ParameterError(f"unknown oracle spec {args.oracle!r}")
 
 
 def cmd_order(args) -> int:
     if args.action == "reconstruct":
-        oracle = _load_oracle(args.oracle, args)
-        try:
+        with _load_oracle(args) as oracle:
             rec = reconstruct(oracle, args.p1, args.K, args.n)
-        finally:
-            if isinstance(oracle, ProcessOracle):
-                oracle.close()
         rows = [
             [k + 1, _fmt(a.value), _fmt(a.radius), a.f, _fmt(p)]
             for k, (a, p) in enumerate(zip(rec.alpha, rec.system.primes))
@@ -366,11 +385,8 @@ def cmd_order(args) -> int:
         )
         return 0
     # coincide
-    saved = args.system
-    s1 = _load_system(args)
-    args.system = args.system2
-    s2 = _load_system(args)
-    args.system = saved
+    s1 = _load_system(args, args.system)
+    s2 = _load_system(args, args.system2)
     res = orderings_coincide(s1, s2, args.prefix)
     rows = [
         [
@@ -385,13 +401,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    oracle = _load_oracle(args.oracle, args)
-    try:
-        M, N = (int(tok) for tok in args.window.split(","))
-        rep = check_axioms(oracle, (M, N))
-    finally:
-        if isinstance(oracle, ProcessOracle):
-            oracle.close()
+    with _load_oracle(args) as oracle:
+        rep = check_axioms(oracle, _parse_window(args.window))
     a3 = "undetermined" if rep.a3_ok is None else str(rep.a3_ok).lower()
     rows = [
         ["A1", str(rep.a1_ok).lower(), str(rep.a1_counterexample or "")],
@@ -411,22 +422,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _usage_problem(args) -> str | None:
-    """What this option combination lacks or cannot parse, if anything."""
+    """What this option combination lacks, if anything."""
     if args.command == "perron" and args.T is None and not args.scan:
         return "perron needs --T or --scan"
     if args.command == "mellin":
-        name, parse, values = (
-            ("--x", float, args.x) if args.op == "partition" else ("--s", _parse_complex, args.s)
-        )
+        name, values = ("--x", args.x) if args.op == "partition" else ("--s", args.s)
         if values is None:
             return f"mellin --op {args.op} needs {name}"
-        for text in values:
-            try:
-                parse(text)
-            except ValueError:
-                return f"argument {name}: invalid value {text!r}"
     if args.command == "order" and args.action == "reconstruct" and args.oracle is None:
         return "order reconstruct needs --oracle"
+    if args.command == "fe-check" and args.pair != "theta" and args.h_file is None:
+        return "fe-check needs --h-file unless --pair theta"
     return None
 
 
@@ -448,37 +454,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key=value file merged under the flags (flags win)")
         if system:
-            p.add_argument("--system", default=None,
+            p.add_argument("--system", default=None, type=_checked(_parse_system),
                            help="builtin:rationals | builtin:gaussian | list:v1,v2 | file:PATH")
-            p.add_argument("--limit", type=float, default=None)
-            p.add_argument("--power", type=float, default=None,
+            p.add_argument("--limit", type=_real, default=None)
+            p.add_argument("--power", type=_real, default=None,
                            help="renormalise by the power transform at load time")
 
     p = sub.add_parser("gen", help="emit sorted g-integers up to a bound")
     add_common(p)
-    p.add_argument("--bound", type=float, required=True)
+    p.add_argument("--bound", type=_real, required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("count", help="counting report N, pi, psi over a grid")
     add_common(p)
-    p.add_argument("--grid", required=True, help="a:b:step or x1,x2,...")
+    p.add_argument("--grid", required=True, type=_checked(_grid_points), help="a:b:step or x1,x2,...")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("zeta", help="zeta/phi evaluators with tail bounds")
     add_common(p)
-    p.add_argument("--s", action="append", required=True, type=_complex_text,
+    p.add_argument("--s", action="append", required=True, type=_checked(_parse_complex),
                    help="complex point, e.g. 2+10i")
-    p.add_argument("--method", choices=["euler", "dirichlet", "mellin", "continued", "phi"],
-                   default="euler")
-    p.add_argument("--cutoff", type=float, default=None)
+    p.add_argument("--method", choices=ZETA_METHODS, default="euler")
+    p.add_argument("--cutoff", type=_real, default=None)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("perron", help="Perron recovery of psi(x)")
     add_common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--scan", default=None, help="comma list of T values")
+    p.add_argument("--x", type=_real, required=True)
+    p.add_argument("--T", type=_real, default=None)
+    p.add_argument("--c", type=_real, default=None)
+    p.add_argument("--scan", type=_checked(_parse_list(_parse_real)), help="comma list of T values")
     p.set_defaults(func=cmd_perron)
 
     p = sub.add_parser("mellin", help="Mellin transforms and continuations")
@@ -486,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="exp")
     p.add_argument("--op", choices=["transform", "continue", "partition"],
                    default="transform")
-    p.add_argument("--s", action="append", default=None)
-    p.add_argument("--x", action="append", default=None)
+    p.add_argument("--s", action="append", default=None, type=_checked(_parse_complex))
+    p.add_argument("--x", action="append", default=None, type=_checked(_parse_real))
     p.add_argument("--expansion", default=None,
                    help="builtin name or JSON file of expansion terms")
     p.set_defaults(func=cmd_mellin)
@@ -498,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None)
     p.add_argument("--expansion", default=None)
     p.add_argument("--h-file", default=None, help="residual series JSON")
-    p.add_argument("--x-min", type=float, default=0.5)
-    p.add_argument("--x-max", type=float, default=2.0)
+    p.add_argument("--x-min", type=_real, default=0.5)
+    p.add_argument("--x-max", type=_real, default=2.0)
     p.add_argument("--x-points", type=int, default=50)
-    p.add_argument("--s-grid", default=None, help="comma list of complex points")
+    p.add_argument("--s-grid", type=_checked(_parse_list(_parse_complex)), help="comma list of complex points")
     p.set_defaults(func=cmd_fe_check)
 
     p = sub.add_parser("order", help="order reconstruction and comparison")
@@ -509,31 +514,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["reconstruct", "coincide"])
     p.add_argument("--oracle", default=None,
                    help="cmd:... | system:FILE | builtin:name (with --limit)")
-    p.add_argument("--p1", type=float, default=2.0)
+    p.add_argument("--p1", type=_real, default=2.0)
     p.add_argument("--K", type=int, default=20)
     p.add_argument("--n", type=int, default=10**4)
-    p.add_argument("--system2", default=None)
+    p.add_argument("--system2", default=None, type=_checked(_parse_system))
     p.add_argument("--prefix", type=int, default=10**4)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("axioms", help="windowed order-axiom verification")
     add_common(p)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--window", default="5,5", help="M,N")
+    p.add_argument("--window", default="5,5", type=_checked(_parse_window), help="M,N")
     p.set_defaults(func=cmd_axioms)
 
     return parser
 
 
 def _merge_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    if "--config" not in argv[:-1]:  # absent, or last with no path after it
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
     pairs = []
-    with open(path) as fh:
+    with open(argv[argv.index("--config") + 1]) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
@@ -548,16 +549,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _merge_config(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_merge_config(argv))
         problem = _usage_problem(args)
         if problem:
             parser.error(problem)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except BeurlingError as exc:
+    except (BeurlingError, OSError, UnicodeDecodeError) as exc:  # domain errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

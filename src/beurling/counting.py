@@ -40,6 +40,8 @@ def _check_bound(system: GPrimeSystem, bound: float, what: str = "bound") -> Non
         raise IncompleteSystemError(
             f"{what} {bound} exceeds the system's completeness horizon {system.limit}"
         )
+    if not math.isfinite(bound):  # NaN, or infinity under an infinite horizon
+        raise ParameterError(f"{what} must be a finite number, got {bound}")
 
 
 class GIntegerStream:
@@ -108,6 +110,8 @@ def _walk(system: GPrimeSystem, log_bound: float, tol: float):
     further, so consumers account for them in bulk and only the children
     below mid are walked as nodes themselves.
     """
+    if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
+        raise ParameterError(f"cannot walk to the log bound {log_bound}")
     logs = system._log_list
     stack = [(0, 0.0)]
     while stack:
@@ -203,6 +207,8 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
 def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """(L, W): sorted log values of prime powers <= bound and their log-p weights."""
     _check_bound(system, bound)
+    if bound <= 0:
+        raise ParameterError(f"bound must be positive, got {bound}")
     lb = math.log(bound) + log_tolerance(bound)
     L: list[float] = []
     W: list[float] = []

@@ -545,21 +545,31 @@ def check_fe_mellin(
     return FEMellinReport(tuple(rows), float(max_res), tuple(skipped))
 
 
+# what malformed JSON content raises while it is decoded and read
+_MALFORMED_JSON = (ValueError, LookupError, TypeError, OverflowError)
+
+
 def expansion_from_json(text: str) -> AsymptoticExpansion:
     """Parse [{"lambda": [re, im], "coeffs": [[re, im], ...]}, ...]."""
-    data = json.loads(text) if isinstance(text, str) else text
-    terms = []
-    for item in data:
-        lam = complex(item["lambda"][0], item["lambda"][1])
-        coeffs = tuple(complex(c[0], c[1]) for c in item["coeffs"])
-        terms.append((lam, coeffs))
+    try:
+        data = json.loads(text) if isinstance(text, str) else text
+        terms = []
+        for item in data:
+            lam = complex(item["lambda"][0], item["lambda"][1])
+            coeffs = tuple(complex(c[0], c[1]) for c in item["coeffs"])
+            terms.append((lam, coeffs))
+    except _MALFORMED_JSON as exc:
+        raise ParameterError(f"malformed expansion: {exc!r}") from None
     return AsymptoticExpansion(tuple(terms))
 
 
 def residual_series_from_json(text: str) -> ResidualSeries:
     """Parse [{"a": [re, im], "mu": [re, im], "nu": int}, ...]."""
-    data = json.loads(text) if isinstance(text, str) else text
-    return ResidualSeries.from_terms(
-        (complex(i["a"][0], i["a"][1]), complex(i["mu"][0], i["mu"][1]), int(i["nu"]))
-        for i in data
-    )
+    try:
+        data = json.loads(text) if isinstance(text, str) else text
+        return ResidualSeries.from_terms(
+            (complex(i["a"][0], i["a"][1]), complex(i["mu"][0], i["mu"][1]), int(i["nu"]))
+            for i in data
+        )
+    except _MALFORMED_JSON as exc:
+        raise ParameterError(f"malformed residual series: {exc!r}") from None

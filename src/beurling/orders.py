@@ -13,9 +13,13 @@ EQ results (logged); the f searches treat EQ as <=.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import select
 import shlex
 import subprocess
+import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -29,6 +33,7 @@ from .systems import GPrimeSystem, LOG_TIE_TOL, from_list
 
 LT, EQ, GT = -1, 0, 1
 MAX_DOUBLINGS = 64
+REPLY_TIMEOUT_S = 10.0  # how long a ProcessOracle waits for one reply
 
 
 class OrderOracle:
@@ -38,6 +43,15 @@ class OrderOracle:
 
     def compare(self, a: tuple[int, int], b: tuple[int, int]) -> int:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the oracle holds; a no-op unless it owns a process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 class InducedOracle(OrderOracle):
@@ -99,37 +113,50 @@ class FunctionOracle(OrderOracle):
 
 
 class ProcessOracle(OrderOracle):
-    """Line-oriented external oracle: send `m n m' n'`, read `<`, `=` or `>`."""
+    """Line-oriented external oracle: send `m n m' n'`, read `<`, `=` or `>`.
+
+    A reply that takes longer than REPLY_TIMEOUT_S, and a child that has
+    exited, raise ParameterError instead of blocking the caller.
+    """
 
     def __init__(self, cmd: str):
-        self._proc = subprocess.Popen(
-            shlex.split(cmd),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        argv = shlex.split(cmd)
+        if not argv:
+            raise ParameterError("the oracle command is empty")
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self.provenance = f"process:{cmd}"
 
     def compare(self, a, b) -> int:
-        self._proc.stdin.write(f"{a[0]} {a[1]} {b[0]} {b[1]}\n")
-        self._proc.stdin.flush()
-        reply = self._proc.stdout.readline().strip()
+        try:
+            self._proc.stdin.write(f"{a[0]} {a[1]} {b[0]} {b[1]}\n".encode())
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            raise ParameterError("the oracle process has exited") from None
+        # read byte by byte, so no input waits in a buffer that select cannot see
+        fd, reply = self._proc.stdout.fileno(), b""
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        while not reply.endswith(b"\n"):
+            if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                raise ParameterError(f"the oracle gave no reply within {REPLY_TIMEOUT_S} s")
+            byte = os.read(fd, 1)
+            if not byte:
+                break  # the child has exited; the check below reports the short reply
+            reply += byte
         mapping = {"<": LT, "=": EQ, ">": GT}
-        if reply not in mapping:
-            raise ParameterError(f"oracle protocol violation: reply {reply!r}")
-        return mapping[reply]
+        text = reply.decode(errors="replace").strip()
+        if text not in mapping:
+            raise ParameterError(f"oracle protocol violation: reply {text!r}")
+        return mapping[text]
 
     def close(self):
-        if self._proc.stdin:
+        with contextlib.suppress(BrokenPipeError):
             self._proc.stdin.close()
-        self._proc.wait(timeout=5)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self._proc.stdout.close()
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
 
 def induced_oracle(system: GPrimeSystem) -> InducedOracle:
@@ -323,8 +350,11 @@ def reconstruct(oracle: OrderOracle, p1: float, K: int, n: int) -> Reconstructio
     if K < 1 or n < 1:
         raise ParameterError("reconstruct needs K, n >= 1")
     alphas = [alpha_k(oracle, k, n) for k in range(1, K + 1)]
-    primes = [p1**a.value for a in alphas]
-    limit = p1 ** (alphas[-1].value + 1.0 / n)
+    try:
+        primes = [p1**a.value for a in alphas]
+        limit = p1 ** (alphas[-1].value + 1.0 / n)
+    except OverflowError:
+        raise ParameterError(f"base prime {p1} overflows the reconstructed primes") from None
     system = from_list(primes, limit, label=f"reconstructed(p1={p1:g}, n={n})")
     return ReconstructionResult(tuple(alphas), system, p1)
 

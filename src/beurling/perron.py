@@ -45,12 +45,12 @@ class PerronParams:
     def __post_init__(self):
         if not (self.x > 2):
             raise ParameterError(f"perron needs x > 2, got {self.x}")
-        if not (self.T > 0):
-            raise ParameterError(f"T must be positive, got {self.T}")
+        if not (0 < self.T < math.inf):
+            raise ParameterError(f"T must be positive and finite, got {self.T}")
         if self.c is None:
             object.__setattr__(self, "c", 1.0 + 1.0 / math.log(self.x))
-        if not (self.c > 1):
-            raise ParameterError(f"contour abscissa must satisfy c > 1, got {self.c}")
+        if not (1 < self.c < math.inf):
+            raise ParameterError(f"contour abscissa must satisfy 1 < c < inf, got {self.c}")
         if self.step is None:
             object.__setattr__(self, "step", math.pi / (8.0 * math.log(self.x)))
         if not (self.step > 0):

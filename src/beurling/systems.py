@@ -153,8 +153,14 @@ def _sieve(n: int) -> list[int]:
     return [i for i, m in enumerate(mask) if m]
 
 
+def _check_sieve_limit(limit: float) -> None:
+    if not math.isfinite(limit):
+        raise ParameterError(f"a sieved system needs a finite limit, got {limit}")
+
+
 def rational_primes(limit: float) -> GPrimeSystem:
     """The rational primes up to `limit` (the N = naturals reference system)."""
+    _check_sieve_limit(limit)
     if limit < 2:
         raise EmptySystemError(f"no rational primes below {limit}")
     ps = _sieve(int(math.floor(limit)))
@@ -167,6 +173,7 @@ def gaussian_system(limit: float) -> GPrimeSystem:
     2 once, rational primes p = 1 (mod 4) with multiplicity two, and q**2 for
     rational primes q = 3 (mod 4) (kept while q**2 <= limit).
     """
+    _check_sieve_limit(limit)
     if limit < 2:
         raise EmptySystemError(f"gaussian system needs limit >= 2, got {limit}")
     vals: list[float] = [2.0]

@@ -66,8 +66,8 @@ def zeta_euler(system: GPrimeSystem, s: complex, prime_cutoff: float | None = No
     s = complex(s)
     _require_convergent(s, "the Euler product")
     X = system.limit if prime_cutoff is None else float(prime_cutoff)
-    if X > system.limit:
-        raise ParameterError(f"prime cutoff {X} exceeds system limit {system.limit}")
+    if not (0 < X <= system.limit):
+        raise ParameterError(f"prime cutoff {X} is outside (0, {system.limit}]")
     logs = system.log_primes
     lx = math.log(X) + log_tolerance(X)
     sel = logs[logs <= lx]
@@ -90,10 +90,8 @@ def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | Non
     s = complex(s)
     _require_convergent(s, "the Dirichlet series")
     X = system.limit if integer_cutoff is None else float(integer_cutoff)
-    if X > system.limit:
-        raise ParameterError(f"integer cutoff {X} exceeds system limit {system.limit}")
-    if X < 1:
-        raise ParameterError("integer cutoff must be >= 1")
+    if not (1 <= X <= system.limit):
+        raise ParameterError(f"integer cutoff {X} is outside [1, {system.limit}]")
     value, count = _power_sum_leq(system, math.log(X), log_tolerance(X), s)
     rho_hat = count / X
     sigma = s.real
@@ -218,10 +216,8 @@ def zeta_mellin_identity_check(system: GPrimeSystem, s: complex, x_max: float) -
     """
     s = complex(s)
     _require_convergent(s, "the Mellin identity")
-    if x_max > system.limit:
-        raise ParameterError(f"x_max {x_max} exceeds system limit {system.limit}")
-    if x_max < 1:
-        raise ParameterError("x_max must be >= 1")
+    if not (1 <= x_max <= system.limit):
+        raise ParameterError(f"x_max {x_max} is outside [1, {system.limit}]")
     logs = _sorted_logs_leq(system, x_max)
     # segment [v_k, v_{k+1}) carries N = k+1; the last runs to X
     lo = np.exp(-s * logs)

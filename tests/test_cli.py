@@ -66,6 +66,17 @@ def test_usage_error_exit_2(capsys):
         "mellin --kernel exp --op partition --system builtin:rationals --limit 1000 --x one",
         "zeta --system builtin:rationals --limit 1000 --s abc",
         "order reconstruct --limit 72",
+        # malformed or NaN values, each checked by its option's type
+        "mellin --op partition --system list:2,3 --limit 100 --s abc --x 1",
+        "zeta --system list:2,3 --limit 100 --s nan",
+        "perron --system list:2,3 --limit 100 --x nan --T 10",
+        "fe-check --pair theta --s-grid abc",
+        "count --system list:2,3 --limit 100 --grid a:b:1",
+        "count --system list:2,3 --limit 100 --grid 1:1e10:1e-320",
+        "perron --system list:2,3 --limit 100 --x 10.5 --scan abc",
+        "axioms --oracle builtin:rationals --limit 100 --window 5",
+        "gen --system list:2,x --limit 100 --bound 10",
+        "fe-check --system list:2,3 --limit 100 --kernel gauss",
     ],
 )
 def test_usage_error_one_line_exit_2(capsys, argv):
@@ -74,6 +85,30 @@ def test_usage_error_one_line_exit_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("beurling")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "perron --system list:2,3 --limit 100 --x 10.5 --T 10 --c inf",
+        "zeta --system list:2,3 --limit 100 --s 2 --cutoff 0",
+        "fe-check --pair theta --limit 100 --x-min 0",
+        "fe-check --pair theta --limit 100 --x-points -1",
+        "count --system list:2,3 --limit 1e10 --grid 1:2e6:1",
+        "count --config missing.cfg --grid 1:10:1",
+        "mellin --op continue --system list:2,3 --limit 100 --s 3 --expansion missing.json",
+        "gen --system file:missing.txt --bound 10",
+        "order reconstruct --oracle cmd:",
+        "order reconstruct --oracle cmd:./missing-binary",
+        "gen --system list:2,3 --limit 100 --bound 10 --out missing-dir/out.csv",
+    ],
+)
+def test_domain_error_one_line_exit_1(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,8 +1,9 @@
 """Golden CLI output: each invocation's stdout, hashed, against a recorded hash.
 
 The hashes were recorded from the commit before the g-integer walk was
-shared between counting and zeta (Python 3.11.7, numpy 2.4.6, mpmath 1.3.0,
-x86-64).  Every value is printed with repr(), so a numpy or libm that rounds
+shared between counting and zeta, and the last seven (--config to --s-grid)
+from the commit before the CLI checked option values by argparse type
+(Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).  Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
 removed from the environment because the manifest echoes the thread count.
@@ -44,7 +45,8 @@ README_EXAMPLES = [
 ]
 
 # every zeta method, mellin partition and continue, fe-check with an s-grid,
-# and Gaussian count, perron and gen
+# Gaussian count, perron and gen, and the --config, --out, --power, --window
+# and --threads paths
 MORE_INVOCATIONS = [
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+4i --method dirichlet",
      "2ef840688c17144a4b2e1107ba2318d3c59cc39ecc205bfd5bfd6eb45d396960"),
@@ -76,14 +78,40 @@ MORE_INVOCATIONS = [
      "7668755329decfb6d90b946098e871491516c4928ba9df3d3635ef2982802d89"),
     ("gen --system list:2,2,3 --limit 100 --bound 10 --power 0.5",
      "f06e3abba51b8e9032ab8445255844be239895d916cd45e0c0fb9d371d277bc6"),
+    ("count --config {config} --grid 10:100:10",
+     "196e70127a7fa4aec505a7c8d07c121e3e85a86b0baafaeb70c935c2723e36c2"),
+    ("count --system builtin:rationals --limit 100 --grid 10,20,50 --out {out}",
+     "4b795f828c4ddfb622ebbb218a60f9f2bd433ee9bcda7e9cd135391016e9b2e7"),
+    ("order coincide --system builtin:rationals --limit 1000 --system2 builtin:rationals --prefix 200 --power 0.5",
+     "1d2a55a932d5fa75c26e4c669bb6950a36f92f5d2557a64f889a78dbd3b88de7"),
+    ("axioms --oracle builtin:rationals --limit 1000 --power 0.5",
+     "c394cf23b07ab8b9be4e845dab0cdd7b8e4667cc46a30d7b97b31ed25aee251a"),
+    ("axioms --oracle builtin:gaussian --limit 1000 --window 3,4",
+     "02d085093688f4d15a6b7bb78311782e20e9de026172939804c54db68b7757c2"),
+    ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+1i --s 1.5-2i --method dirichlet --threads 2",
+     "aaab42f37f077f2b1c1e6f137e3bc7fd8b750e986c23a7a26e3529e760cb3d55"),
+    ("fe-check --pair theta --x-min 0.7 --x-max 1.4 --x-points 5 --s-grid 0.3+1i",
+     "cb58663eb85f804fb3f8725d65198ace6e44eda7fad4b049632b0290f4dfcd94"),
 ]
+
+# `{config}` is a file holding CONFIG_TEXT; for `{out}` the written file is
+# hashed instead of stdout.  The manifest skips both options, so the
+# temporary paths never reach the hashed bytes.
+CONFIG_TEXT = "system=builtin:rationals\nlimit=100\nformat=json\n"
 
 
 @pytest.mark.parametrize("argv,digest", README_EXAMPLES + MORE_INVOCATIONS)
-def test_stdout_matches_recorded_hash(argv, digest, monkeypatch):
+def test_stdout_matches_recorded_hash(argv, digest, monkeypatch, tmp_path):
     monkeypatch.delenv("BEURLING_THREADS", raising=False)
+    config, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+    config.write_text(CONFIG_TEXT)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(shlex.split(argv))
+        code = main(shlex.split(argv.format(config=config, out=out)))
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    if "{out}" in argv:
+        assert buf.getvalue() == ""
+        text = out.read_text()
+    else:
+        text = buf.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
 import math
 import sys
+import time
 
 import pytest
+
+from beurling import orders
 
 from beurling import from_list, power_system, rational_primes
 from beurling.errors import ParameterError, PreconditionError
@@ -271,3 +274,28 @@ def test_process_oracle_round_trip(tmp_path):
         assert f_k(oracle, 2, 2) == 3
         est = alpha_k(oracle, 2, 200)
         assert est.low <= math.log(3) / math.log(2) <= est.high
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        pytest.param("import sys\nfor line in sys.stdin:\n    pass\n", id="silent"),
+        pytest.param("", id="exits-at-once"),
+    ],
+)
+def test_process_oracle_fails_fast(script, tmp_path, monkeypatch):
+    monkeypatch.setattr(orders, "REPLY_TIMEOUT_S", 0.2)
+    path = tmp_path / "oracle.py"
+    path.write_text(script)
+    start = time.monotonic()
+    with pytest.raises(ParameterError):
+        with ProcessOracle(f"{sys.executable} {path}") as oracle:
+            oracle.compare((1, 1), (2, 1))
+    assert time.monotonic() - start < 1.0
+    assert oracle._proc.poll() is not None  # reaped, not left running
+
+
+@pytest.mark.parametrize("cmd", ["", "   "])
+def test_process_oracle_empty_command(cmd):
+    with pytest.raises(ParameterError):
+        ProcessOracle(cmd)
