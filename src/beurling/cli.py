@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -112,6 +113,13 @@ def _real(text: str) -> float:
     return float(_checked(_parse_real)(text))
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads, and the reading of BEURLING_THREADS: a positive int."""
+    if int(_checked(int)(text)) < 1:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: need a positive count")
+    return int(text)
+
+
 def _parse_system(spec: str) -> list[float]:
     """The primes of a `list:` spec; other specs are checked when they load."""
     return [float(v) for v in spec[5:].split(",")] if spec.startswith("list:") else []
@@ -139,7 +147,7 @@ def _load_system(args, spec: str | None) -> GPrimeSystem:
         system = from_list(values, args.limit if args.limit is not None else max(values))
     else:
         raise ParameterError(f"unknown system spec {spec!r}")
-    if getattr(args, "power", None):
+    if getattr(args, "power", None) is not None:
         system = power_system(system, args.power)
     return system
 
@@ -237,7 +245,7 @@ def _s_rows(texts: list[str], evaluate, threads: int = 1) -> list[list[str]]:
 
     # evaluations are pure; shard across threads, assemble in input order
     if threads > 1 and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             return list(pool.map(row, texts))
     return [row(text) for text in texts]
 
@@ -436,6 +444,7 @@ def _usage_problem(args) -> str | None:
     return None
 
 
+@functools.cache  # one parser per process, built on first use: it binds cmd_* as they are then
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="beurling",
@@ -449,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="format", action="store_const", const="json",
                        help="shorthand for --format json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("BEURLING_THREADS", "1")))
+        p.add_argument("--threads", type=_thread_count, default=None)
         p.add_argument("--config", default=None,
                        help="key=value file merged under the flags (flags win)")
         if system:
@@ -550,6 +558,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_config(argv))
+        if args.threads is None:  # read per call: the parser outlives any one environment
+            try:
+                args.threads = _thread_count(os.environ.get("BEURLING_THREADS", "1"))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"BEURLING_THREADS: {exc}")
         problem = _usage_problem(args)
         if problem:
             parser.error(problem)

@@ -29,7 +29,7 @@ from .errors import (
     MaterialisationError,
     ParameterError,
 )
-from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
+from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance, per_system
 
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
@@ -112,7 +112,7 @@ def _walk(system: GPrimeSystem, log_bound: float, tol: float):
     """
     if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
         raise ParameterError(f"cannot walk to the log bound {log_bound}")
-    logs = system._log_list
+    logs = system._log_list()
     stack = [(0, 0.0)]
     while stack:
         i, lv = stack.pop()
@@ -204,11 +204,7 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
     return int(np.searchsorted(system._logs, math.log(x) + log_tolerance(x), side="right"))
 
 
-def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L, W): sorted log values of prime powers <= bound and their log-p weights."""
-    _check_bound(system, bound)
-    if bound <= 0:
-        raise ParameterError(f"bound must be positive, got {bound}")
+def _prime_power_loop(system: GPrimeSystem, bound: float):
     lb = math.log(bound) + log_tolerance(bound)
     L: list[float] = []
     W: list[float] = []
@@ -219,7 +215,34 @@ def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, n
             W.append(lp)
             v += lp
     order = np.argsort(np.asarray(L), kind="stable")
-    return np.asarray(L)[order], np.asarray(W)[order]
+    W = np.asarray(W)[order]
+    return np.asarray(L)[order], W, np.cumsum(W)
+
+
+@per_system
+def _psi_profile(system: GPrimeSystem):
+    """(L, W, cumsum W): the prime-power table up to the horizon."""
+    return _prime_power_loop(system, system.limit)
+
+
+def _prime_powers(system: GPrimeSystem, bound: float):
+    """(L, W, cumsum W) over the prime powers <= bound, sliced from `_psi_profile`.
+
+    The slice equals the loop run to the bound: the same floats in the same order.
+    """
+    _check_bound(system, bound)
+    if bound <= 0:
+        raise ParameterError(f"bound must be positive, got {bound}")
+    if math.isinf(system.limit):  # no horizon to build a table up to
+        return _prime_power_loop(system, bound)
+    L, W, cum = _psi_profile(system)
+    k = np.searchsorted(L, math.log(bound) + log_tolerance(bound), side="right")
+    return L[:k], W[:k], cum[:k]
+
+
+def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, W): sorted log values of prime powers <= bound and their log-p weights."""
+    return _prime_powers(system, bound)[:2]
 
 
 def psi(system: GPrimeSystem, x: float) -> float:
@@ -363,8 +386,8 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
 
     pi_counts = np.searchsorted(system._logs, grid_log, side="right")
 
-    L, W = prime_power_table(system, top)
-    cumW = np.concatenate([[0.0], np.cumsum(W)])
+    L, _, cum = _prime_powers(system, top)
+    cumW = np.concatenate([[0.0], cum])
     psi_vals = cumW[np.searchsorted(L, grid_log, side="right")]
 
     # a g-integer within 2 tol of x's log value sits on the boundary

@@ -20,15 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
-from .counting import _count_leq, g_integer_values
+from .counting import _sorted_logs_leq
 from .errors import ParameterError, PoleError, StripError
-from .systems import GPrimeSystem, log_tolerance
+from .systems import GPrimeSystem, log_tolerance, per_system
 from .zeta import TailedValue
 
 QUAD_TARGET = 1e-10
@@ -153,15 +152,11 @@ EXPANSIONS = {
 }
 
 
-@lru_cache(maxsize=64)
-def _cached_values(system: GPrimeSystem, bound: float) -> np.ndarray:
-    return g_integer_values(system, bound)
-
-
-@lru_cache(maxsize=32)
-def _rho_hat(system: GPrimeSystem) -> float:
-    n = _count_leq(system, math.log(system.limit), log_tolerance(system.limit))
-    return n / system.limit
+@per_system
+def _cached_values(system: GPrimeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted logs and values of the g-integers up to the horizon."""
+    logs = _sorted_logs_leq(system, system.limit)
+    return logs, np.exp(logs)
 
 
 def _kernel_apply(kernel: Kernel, arr: np.ndarray) -> np.ndarray:
@@ -189,14 +184,15 @@ def partition_F(
     """
     if not (x > 0):
         raise ParameterError(f"partition functions need x > 0, got {x}")
-    rho = _rho_hat(system)
+    logs, values = _cached_values(system)
+    rho = len(values) / system.limit
     if cutoff is None:
         cutoff = min(max(2.0, 2.0 / x), system.limit)
         while cutoff < system.limit and rho * kernel.tail(cutoff, x) > tail_tol:
             cutoff = min(cutoff * 2.0, system.limit)
-    if cutoff > system.limit:
-        raise ParameterError(f"cutoff {cutoff} exceeds system limit {system.limit}")
-    vals = _cached_values(system, float(cutoff))
+    if not (1 <= cutoff <= system.limit):
+        raise ParameterError(f"cutoff {cutoff} is outside [1, {system.limit}]")
+    vals = values[: np.searchsorted(logs, math.log(cutoff) + log_tolerance(cutoff), side="right")]
     total = complex(np.sum(_kernel_apply(kernel, vals * x)))
     tail = rho * kernel.tail(float(cutoff), x)
     return TailedValue(total, float(tail), "partition", float(cutoff))

@@ -19,6 +19,7 @@ fit-dependent and would break the rigorous-by-construction budget.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,6 +97,7 @@ def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
         A = np.exp(-1j * np.outer(coarse, L)) * wc
         return (A @ B.T).ravel()
 
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or rows < 4:
         out = shard(0, rows)
     else:

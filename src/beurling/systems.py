@@ -7,10 +7,11 @@ is represented by repetition in the prime sequence.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,6 +33,27 @@ def log_tolerance(x: float) -> float:
     return LOG_TIE_TOL * max(1.0, math.log(x)) if x > 0 else LOG_TIE_TOL
 
 
+def per_system(build):
+    """Cache `build(system, *args)` in the system's `_derived` dict, which dies with it.
+
+    `cache_info()` counts hits and misses over all systems.  Two threads that
+    miss together both build; the value stored first is kept.
+    """
+    info = SimpleNamespace(hits=0, misses=0)
+
+    @functools.wraps(build)
+    def cached(system, *args):
+        key = (build, *args)
+        if key in system._derived:
+            info.hits += 1
+            return system._derived[key]
+        info.misses += 1
+        return system._derived.setdefault(key, build(system, *args))
+
+    cached.cache_info = lambda: SimpleNamespace(**vars(info))
+    return cached
+
+
 @dataclass(frozen=True)
 class GPrimeSystem:
     """A truncated g-prime system.
@@ -45,6 +67,7 @@ class GPrimeSystem:
     limit: float
     label: str = ""
     _logs: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.primes:
@@ -73,7 +96,7 @@ class GPrimeSystem:
         """Natural logs of the primes, same order as `primes`. Read-only."""
         return self._logs
 
-    @cached_property
+    @per_system
     def _log_list(self) -> list[float]:
         """`log_primes` as a Python list, built on first use, for `bisect`."""
         return self._logs.tolist()

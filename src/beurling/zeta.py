@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .counting import _power_sum_leq, _sorted_logs_leq, prime_power_table
+# `_psi_profile` is not called here: bench/tracer.py reads its cache_info() as zeta._psi_profile
+from .counting import _power_sum_leq, _prime_powers, _psi_profile, _sorted_logs_leq  # noqa: F401
 from .errors import DivergenceError, FitError, ParameterError, PoleError
-from .systems import GPrimeSystem, log_tolerance
+from .systems import GPrimeSystem, log_tolerance, per_system
 
 DIVERGENCE_ABSCISSA = 1.0
 
@@ -51,6 +51,7 @@ def _require_convergent(s: complex, what: str) -> None:
         )
 
 
+@per_system
 def _pi_envelope(system: GPrimeSystem) -> float:
     """C with pi(t) <= C t on the stored range (extrapolated beyond it)."""
     counts = np.arange(1, system.nprimes + 1, dtype=float)
@@ -106,29 +107,15 @@ def phi_dirichlet(system: GPrimeSystem, s: complex, cutoff: float | None = None)
     X = system.limit if cutoff is None else float(cutoff)
     if X > system.limit:
         raise ParameterError(f"cutoff {X} exceeds system limit {system.limit}")
-    L, W = prime_power_table(system, X)
+    L, W, cum = _prime_powers(system, X)
     value = complex(np.sum(W * np.exp(-s * L)))
     sigma = s.real
-    Cpsi = _psi_envelope(system, X)
+    Cpsi = float(max(1.0, np.max(cum * np.exp(-L)))) if len(L) else 1.0
     tail = sigma * Cpsi * X ** (1 - sigma) / (sigma - 1)
     return TailedValue(value, float(tail), "phi-dirichlet", X)
 
 
-@lru_cache(maxsize=16)
-def _psi_profile(system: GPrimeSystem, x_max: float):
-    """Sorted prime-power jump logs and cumulative psi values up to x_max."""
-    L, W = prime_power_table(system, x_max)
-    return L, np.cumsum(W)
-
-
-def _psi_envelope(system: GPrimeSystem, x_max: float) -> float:
-    L, cum = _psi_profile(system, x_max)
-    if len(L) == 0:
-        return 1.0
-    return float(max(1.0, np.max(cum * np.exp(-L))))
-
-
-@lru_cache(maxsize=16)
+@per_system
 def _remainder_envelope(system: GPrimeSystem, x_max: float):
     """Fitted envelope |psi(y) - y| <= R y^alpha over the stored jump points.
 
@@ -136,7 +123,7 @@ def _remainder_envelope(system: GPrimeSystem, x_max: float):
     envelope constant R is then maximised over all sampled points so the
     bound is an upper envelope of the data rather than a regression line.
     """
-    L, cum = _psi_profile(system, x_max)
+    L, _, cum = _prime_powers(system, x_max)
     if len(L) < 2:
         return 1.0, 1.0
     v = np.exp(L)
@@ -188,7 +175,7 @@ def phi_continued(system: GPrimeSystem, s: complex, x_max: float | None = None) 
     X = system.limit if x_max is None else float(x_max)
     if X > system.limit:
         raise ParameterError(f"x_max {X} exceeds system limit {system.limit}")
-    L, cum = _psi_profile(system, X)
+    L, _, cum = _prime_powers(system, X)
     psi_X = float(cum[-1]) if len(cum) else 0.0
     series = complex(np.sum(np.diff(np.concatenate([[0.0], cum])) * np.exp(-s * L)))
     value = series + s / (s - 1) * X ** (1 - s) - psi_X * X ** (-s)

@@ -77,6 +77,9 @@ def test_usage_error_exit_2(capsys):
         "axioms --oracle builtin:rationals --limit 100 --window 5",
         "gen --system list:2,x --limit 100 --bound 10",
         "fe-check --system list:2,3 --limit 100 --kernel gauss",
+        "zeta --system list:2,3 --limit 100 --s 2 --threads 0",
+        "zeta --system list:2,3 --limit 100 --s 2 --threads -1",
+        "zeta --system list:2,3 --limit 100 --s 2 --threads abc",
     ],
 )
 def test_usage_error_one_line_exit_2(capsys, argv):
@@ -101,6 +104,7 @@ def test_usage_error_one_line_exit_2(capsys, argv):
         "order reconstruct --oracle cmd:",
         "order reconstruct --oracle cmd:./missing-binary",
         "gen --system list:2,3 --limit 100 --bound 10 --out missing-dir/out.csv",
+        "gen --system list:2,3 --limit 100 --bound 20 --power 0",
     ],
 )
 def test_domain_error_one_line_exit_1(capsys, argv, tmp_path, monkeypatch):
@@ -133,6 +137,26 @@ def test_thread_count_does_not_change_output(capsys):
     rows1 = [l for l in out1.splitlines() if not l.startswith("#")]
     rows4 = [l for l in out4.splitlines() if not l.startswith("#")]
     assert rows1 == rows4
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_bad_thread_variable_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BEURLING_THREADS", value)
+    code, out, err = run_cli(capsys, "zeta", "--system", "list:2,3", "--limit", "100", "--s", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "BEURLING_THREADS" in err
+
+
+def test_thread_variable_is_read_per_call(capsys, monkeypatch):
+    """The parser is built once per process; the environment is read on every call."""
+    argv = ("zeta", "--system", "list:2,3", "--limit", "100", "--s", "2")
+    echoed = []
+    for value in ("1", "2"):
+        monkeypatch.setenv("BEURLING_THREADS", value)
+        _, out, _ = run_cli(capsys, *argv)
+        echoed += [l for l in out.splitlines() if l.startswith("# threads=")]
+    assert echoed == ["# threads=1", "# threads=2"]
 
 
 def test_zeta_json_output(capsys):

@@ -1,0 +1,163 @@
+"""Derived tables cached on the system: prefix identity, lifetime, cache counters.
+
+The prime-power table and the partition-sum table are built once per system,
+up to its horizon, and every bound reads a prefix of them.  The per-bound
+loop they replaced is kept here as the reference.
+"""
+import gc
+import math
+import random
+import weakref
+
+import numpy as np
+import pytest
+
+from beurling import (
+    counting_report,
+    from_list,
+    g_integer_values,
+    gaussian_system,
+    power_system,
+    rational_primes,
+)
+from beurling import counting, mellin, zeta
+from beurling.counting import _prime_powers, prime_power_table
+from beurling.mellin import KERNELS, Kernel, partition_F
+from beurling.perron import PerronParams, perron_psi
+from beurling.systems import log_tolerance
+from beurling.zeta import phi_continued, phi_dirichlet, zeta_euler
+
+
+def reference_prime_power_table(system, bound):
+    """The per-bound loop: prime powers <= bound, sorted stably by log value."""
+    lb = math.log(bound) + log_tolerance(bound)
+    L, W = [], []
+    for lp in system.log_primes:
+        v = lp
+        while v <= lb:
+            L.append(v)
+            W.append(lp)
+            v += lp
+    order = np.argsort(np.asarray(L), kind="stable")
+    return np.asarray(L)[order], np.asarray(W)[order]
+
+
+def _systems():
+    rng = random.Random(5)
+    out = []
+    for _ in range(4):
+        k = rng.randint(1, 12)
+        primes = [round(1.05 + rng.random() * 20, 4) for _ in range(k)]
+        primes += primes[: rng.randint(1, k)]  # repeated primes
+        out.append(from_list(primes, limit=rng.choice([300.0, 2000.0])))
+    out.append(power_system(rational_primes(400), 1.3))
+    out.append(gaussian_system(2000))
+    return out
+
+
+def _bounds(system, rng):
+    """Random bounds, g-integer values and points just below them (inside the
+    tolerance band, so they count as <= the bound), and the horizon."""
+    values = g_integer_values(system, system.limit)
+    picks = [float(values[rng.randrange(len(values))]) for _ in range(15)]
+    edges = [v * (1 - 1e-13) for v in picks if v > 1]
+    return picks + edges + [rng.uniform(1.0, system.limit) for _ in range(15)] + [system.limit]
+
+
+@pytest.mark.parametrize("system", _systems(), ids=lambda s: s.label)
+def test_prime_power_table_is_the_per_bound_loop(system):
+    rng = random.Random(11)
+    for bound in _bounds(system, rng):
+        L, W = prime_power_table(system, bound)
+        ref_L, ref_W = reference_prime_power_table(system, bound)
+        assert np.array_equal(L, ref_L) and np.array_equal(W, ref_W), bound
+        assert np.array_equal(_prime_powers(system, bound)[2], np.cumsum(ref_W)), bound
+
+
+def _probe_kernel(seen):
+    """A kernel that records the arguments partition_F hands it."""
+    def evaluate(u):
+        seen.append(np.array(u))
+        return np.zeros_like(u)
+
+    return Kernel("probe", evaluate, alpha=0.0, beta=math.inf, tail_integral=lambda lo, scale: 0.0)
+
+
+@pytest.mark.parametrize("system", _systems(), ids=lambda s: s.label)
+def test_partition_slice_is_the_materialised_prefix(system):
+    rng = random.Random(13)
+    seen = []
+    kernel = _probe_kernel(seen)
+    for cutoff in _bounds(system, rng):
+        partition_F(system, kernel, 1.0, cutoff=cutoff)
+        assert np.array_equal(seen[-1], g_integer_values(system, cutoff)), cutoff
+
+
+def test_infinite_horizon_builds_per_call():
+    unbounded = from_list([2, 3], math.inf)
+    bounded = from_list([2, 3], 1e4)
+    for cutoff in (10.0, 97.5, 1e4):
+        assert phi_dirichlet(unbounded, 2 + 3j, cutoff) == phi_dirichlet(bounded, 2 + 3j, cutoff)
+    grid = np.linspace(1, 1e4, 200)
+    rep_u, rep_b = counting_report(unbounded, grid), counting_report(bounded, grid)
+    for field in ("N", "pi", "psi"):
+        assert np.array_equal(getattr(rep_u, field), getattr(rep_b, field))
+    params = PerronParams(x=50.5, T=100.0)
+    assert perron_psi(unbounded, params) == perron_psi(bounded, params)
+
+
+def test_derived_data_dies_with_the_system():
+    system = from_list([2.0, 3.0, 5.0], 1e3)
+    phi_continued(system, 0.5 + 2j)
+    partition_F(system, KERNELS["exp"], 0.5)
+    zeta_euler(system, 2.0)
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
+def test_derived_data_is_outside_eq_hash_repr():
+    used, fresh = from_list([2.0, 3.0], 100), from_list([2.0, 3.0], 100)
+    phi_continued(used, 2.0)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+def test_tables_are_built_once_per_system(monkeypatch):
+    """Every bound reads the one table: one loop, one materialisation."""
+    calls = {"loop": 0, "logs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(counting, "_prime_power_loop", counted("loop", counting._prime_power_loop))
+    monkeypatch.setattr(mellin, "_sorted_logs_leq", counted("logs", mellin._sorted_logs_leq))
+    system = rational_primes(3000)
+    for bound in (10.0, 500.5, 3000.0):
+        prime_power_table(system, bound)
+        phi_dirichlet(system, 2.0, bound)
+        phi_continued(system, 0.8, bound)
+        counting_report(system, [1.0, bound])
+    for x in (0.01, 0.3, 2.0):
+        partition_F(system, KERNELS["exp"], x)
+        partition_F(system, KERNELS["gauss"], x, cutoff=100.0)
+    assert calls == {"loop": 1, "logs": 1}
+
+
+def test_cache_info_one_miss_then_hits():
+    """bench/tracer.py reads these two counters for its cache hit ratios."""
+    system = rational_primes(1000)
+    caches = (mellin._cached_values, zeta._psi_profile)
+    start = [cache.cache_info() for cache in caches]
+    rounds = []
+    for _ in range(3):
+        partition_F(system, KERNELS["exp"], 0.5)
+        phi_continued(system, 2.0)
+        rounds.append([(c.cache_info().hits - s.hits, c.cache_info().misses - s.misses)
+                       for c, s in zip(caches, start)])
+    for before, after in zip(rounds, rounds[1:]):
+        for (h0, m0), (h1, m1) in zip(before, after):
+            assert m0 == m1 == 1 and h1 > h0
