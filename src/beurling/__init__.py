@@ -16,7 +16,6 @@ from .systems import (  # noqa: F401
 )
 from .counting import (  # noqa: F401
     CountingReport,
-    GIntegerStream,
     count_N,
     count_pi,
     counting_report,

@@ -1,13 +1,11 @@
 """Enumeration of the multiplicative semigroup and its counting functions.
 
-The sorted stream uses a min-heap over (log value, exponent vector): popping
-a vector pushes its extensions by primes at indices >= its highest used
-index, so every exponent vector is generated exactly once.  Everything that
-does not need the sorted order (N(x), the Dirichlet power sums, and the
-materialised value arrays, sorted afterwards) consumes one depth-first walk,
-`_walk`, which hands each node's childless branches to its consumer as one
-index range found by binary search.  Sorted arrays are materialised through
-one capped path that counts before it collects.
+Every g-integer comes from one depth-first walk, `_walk`: a vector extends
+by primes at indices >= its highest used one, so each is generated once,
+and each node's childless branches reach the consumer as one index range
+found by binary search.  Its consumers count N(x), sum Dirichlet series and
+build tables: the sorted value arrays and the sorted stream's table, each
+counted under one pair of caps before it is built, then sorted.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
@@ -16,9 +14,9 @@ and grid reports flag the boundary hit.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 import warnings
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -48,53 +46,59 @@ class GIntegerStream:
     """Single-consumer sorted stream of g-integers <= bound, with multiplicity.
 
     Emission order is nondecreasing in log value; numerically tied values are
-    emitted in lexicographic order of their exponent vectors.
+    emitted in lexicographic order of their exponent vectors.  The whole
+    table is counted (under the caps), built and sorted on construction.
     """
 
     def __init__(self, source: GPrimeSystem, bound: float):
-        if bound < 1:
-            raise ParameterError(f"bound must be >= 1, got {bound}")
-        _check_bound(source, bound)
-        self.source = source
-        self.bound = bound
-        self._log_bound = math.log(bound) + log_tolerance(bound)
-        self._heap: list[tuple[float, tuple[tuple[int, int], ...]]] = [(0.0, ())]
-        self._cluster: list[tuple[float, tuple[tuple[int, int], ...]]] = []
+        lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
+        self.source, self.bound = source, bound
+        out = [np.array([0.0])]  # the rows of `_collect_logs_leq`
+        parent, prime = array("q", [0]), array("q", [0])  # 8 bytes a row; a list takes ~40
+        pushed = [0]  # rows of the nodes `_walk` has pushed, in its stack order
+        for lv, i, mid, hi in _walk(source, lb, tol):
+            row, start = pushed.pop(), len(parent)
+            out.append(lv + source._logs[i:hi])
+            parent.extend([row] * (hi - i))
+            prime.extend(range(i, hi))
+            pushed.extend(range(start, start + mid - i))
+        table = np.concatenate(out)
+        order = np.argsort(table, kind="stable")
+        self._items = _sorted_items(memoryview(table[order]), memoryview(order), parent, prime)
 
     def __iter__(self):
         return self
 
-    def _push_children(self, logv: float, exps: tuple[tuple[int, int], ...]) -> None:
-        logs = self.source._logs
-        start = exps[-1][0] if exps else 0
-        for j in range(start, self.source.nprimes):
-            child_log = logv + logs[j]
-            if child_log > self._log_bound:
-                # logs are sorted, so no later index fits either
-                break
-            if exps and j == start:
-                child_exps = exps[:-1] + ((j, exps[-1][1] + 1),)
-            else:
-                child_exps = exps + ((j, 1),)
-            heapq.heappush(self._heap, (child_log, child_exps))
-
     def __next__(self) -> GInteger:
-        if not self._cluster:
-            if not self._heap:
-                raise StopIteration
-            # drain the tie cluster around the minimum so ties can be
-            # re-ordered lexicographically by exponent vector
-            logv0, exps0 = heapq.heappop(self._heap)
-            cluster = [(logv0, exps0)]
-            self._push_children(logv0, exps0)
-            while self._heap and self._heap[0][0] - logv0 <= LOG_TIE_TOL:
-                logv, exps = heapq.heappop(self._heap)
-                cluster.append((logv, exps))
-                self._push_children(logv, exps)
-            cluster.sort(key=lambda item: item[1], reverse=True)
-            self._cluster = cluster
-        logv, exps = self._cluster.pop()
-        return GInteger(exps, logv)
+        return next(self._items)
+
+
+def _sorted_items(logs: memoryview, rows: memoryview, parent: array, prime: array):
+    """The stream's GIntegers from its sorted rows: row r extends row parent[r] by
+    the prime at index prime[r]; row 0 is the g-integer 1.  This holds no reference
+    to the stream, so a dropped stream is freed at once, not by the cycle collector."""
+
+    def exponents(row: int) -> tuple[tuple[int, int], ...]:
+        exps: list[tuple[int, int]] = []  # highest prime index first
+        while row:
+            j, row = prime[row], parent[row]
+            if exps and exps[-1][0] == j:
+                exps[-1] = (j, exps[-1][1] + 1)
+            else:
+                exps.append((j, 1))
+        return tuple(reversed(exps))
+
+    k = 0
+    while k < len(logs):
+        end = k + 1  # a tie cluster: items within LOG_TIE_TOL of its first
+        while end < len(logs) and logs[end] - logs[k] <= LOG_TIE_TOL:
+            end += 1
+        if end == k + 1:
+            yield GInteger(exponents(rows[k]), logs[k])
+        else:  # in lexicographic order of exponent vectors
+            tied = [GInteger(exponents(r), v) for r, v in zip(rows[k:end], logs[k:end])]
+            yield from sorted(tied, key=lambda g: g.exponents)
+        k = end
 
 
 def stream_gintegers(system: GPrimeSystem, bound: float) -> GIntegerStream:
@@ -108,7 +112,8 @@ def _walk(system: GPrimeSystem, log_bound: float, tol: float):
     Yields (log value, i, mid, hi) per node.  The node's children extend it
     by the primes at indices i..hi-1; those from mid on cannot extend any
     further, so consumers account for them in bulk and only the children
-    below mid are walked as nodes themselves.
+    below mid are walked as nodes themselves.  The walk is LIFO: after yielding
+    a node (the root first) it pushes its children i..mid-1 in ascending order.
     """
     if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
         raise ParameterError(f"cannot walk to the log bound {log_bound}")
@@ -150,25 +155,28 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     return total, count
 
 
+def _capped_bound(system: GPrimeSystem, bound: float, warn_cap: int, refuse_cap: int):
+    """(log bound, tol) to walk to `bound`, once the bound and its count pass the caps."""
+    if bound < 1:
+        raise ParameterError(f"bound must be >= 1, got {bound}")
+    _check_bound(system, bound)
+    lb, tol = math.log(bound), log_tolerance(bound)
+    n = _count_leq(system, lb, tol)
+    if n > refuse_cap:
+        raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
+    if n > warn_cap:
+        warnings.warn(f"materialising {n} g-integers (warn cap {warn_cap})")
+    return lb, tol
+
+
 def _sorted_logs_leq(
     system: GPrimeSystem,
     bound: float,
     warn_cap: int = MATERIALISE_WARN_CAP,
     refuse_cap: int = MATERIALISE_REFUSE_CAP,
 ) -> np.ndarray:
-    """Sorted log values of the g-integers <= bound, with multiplicity.
-
-    Counts above refuse_cap raise, above warn_cap warn; the count runs
-    before anything is materialised.
-    """
-    lb = math.log(bound)
-    tol = log_tolerance(bound)
-    n = _count_leq(system, lb, tol)
-    if n > refuse_cap:
-        raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
-    if n > warn_cap:
-        warnings.warn(f"materialising {n} g-integers (warn cap {warn_cap})")
-    return np.sort(_collect_logs_leq(system, lb, tol))
+    """Sorted log values of the g-integers <= bound, with multiplicity, capped."""
+    return np.sort(_collect_logs_leq(system, *_capped_bound(system, bound, warn_cap, refuse_cap)))
 
 
 def g_integer_values(
@@ -177,14 +185,8 @@ def g_integer_values(
     warn_cap: int = MATERIALISE_WARN_CAP,
     refuse_cap: int = MATERIALISE_REFUSE_CAP,
 ) -> np.ndarray:
-    """Sorted array of g-integer values <= bound, with multiplicity.
-
-    Materialisation is capped: counts above refuse_cap raise, above warn_cap
-    warn.  The count check itself is cheap (no materialisation).
-    """
-    if bound < 1:
-        raise ParameterError(f"bound must be >= 1, got {bound}")
-    _check_bound(system, bound)
+    """Sorted array of g-integer values <= bound, with multiplicity; a count
+    above refuse_cap raises, above warn_cap warns (counting materialises nothing)."""
     return np.exp(_sorted_logs_leq(system, bound, warn_cap, refuse_cap))
 
 
@@ -251,12 +253,9 @@ def psi(system: GPrimeSystem, x: float) -> float:
         raise ParameterError(f"x must be >= 1, got {x}")
     _check_bound(system, x, "x")
     lx = math.log(x) + log_tolerance(x)
-    total = 0.0
-    for lp in system._logs:
-        if lp > lx:
-            break
-        total += math.floor(lx / lp) * lp
-    return float(total)
+    lp = system._logs[: np.searchsorted(system._logs, lx, side="right")]
+    # cumsum adds in index order, as a loop does; np.sum adds pairwise and changes bits
+    return float(np.cumsum(np.floor(lx / lp) * lp)[-1]) if len(lp) else 0.0
 
 
 def von_mangoldt(system: GPrimeSystem, n: GInteger) -> float:

@@ -236,41 +236,32 @@ def check_axioms(
             if not report.a2_ok:
                 break
 
-    undetermined = False
-    for n in range(1, N + 1):
-        k, found = 1, False
-        while k <= a3_cap:
-            try:
-                if oracle.compare((1, n), (k, 1)) == LT:
-                    report.a3_k_witness[n] = k
-                    found = True
-                    break
-            except IncompleteSystemError:
-                break
-            k *= 2
-        if not found:
-            undetermined = True
-            report.a3_counterexample = ("A3(i)", n)
-            break
-    if not undetermined:
-        for m in range(1, M + 1):
-            l, found = 1, False
-            while l <= a3_cap:
-                try:
-                    if oracle.compare((m, 1), (1, l)) == LT:
-                        report.a3_l_witness[m] = l
-                        found = True
-                        break
-                except IncompleteSystemError:
-                    break
-                l *= 2
-            if not found:
-                undetermined = True
-                report.a3_counterexample = ("A3(ii)", m)
-                break
-    if undetermined:
-        report.a3_ok = None
+    for label, witnesses, size, lhs, rhs in (
+        ("A3(i)", report.a3_k_witness, N, lambda n: (1, n), lambda k: (k, 1)),
+        ("A3(ii)", report.a3_l_witness, M, lambda m: (m, 1), lambda l: (1, l)),
+    ):
+        for n in range(1, size + 1):
+            witness = _a3_witness(oracle, lhs(n), rhs, a3_cap)
+            if witness is None:
+                report.a3_ok = None
+                report.a3_counterexample = (label, n)
+                return report
+            witnesses[n] = witness
     return report
+
+
+def _a3_witness(oracle: OrderOracle, a: tuple[int, int], b, cap: int) -> int | None:
+    """The first t = 1, 2, 4, ... <= cap with a < b(t), or None: at the cap, or
+    once a compare leaves the system's horizon."""
+    t = 1
+    while t <= cap:
+        try:
+            if oracle.compare(a, b(t)) == LT:
+                return t
+        except IncompleteSystemError:
+            return None
+        t *= 2
+    return None
 
 
 def f_k(oracle: OrderOracle, k: int, n: int, max_doublings: int = MAX_DOUBLINGS) -> int:

@@ -225,14 +225,21 @@ def from_file(path: str | Path) -> GPrimeSystem:
     """
     vals: list[float] = []
     limit = None
-    for raw in Path(path).read_text().splitlines():
+    for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("limit="):
-            limit = float(line.split("=", 1)[1])
-            continue
-        vals.append(float(line))
+        header = line.startswith("limit=")
+        try:
+            value = float(line.split("=", 1)[1] if header else line)
+        except ValueError:
+            raise ParameterError(
+                f"{path}, line {n}: expected a real or limit=<real>, got {line!r}"
+            ) from None
+        if header:
+            limit = value
+        else:
+            vals.append(value)
     if not vals:
         raise EmptySystemError(f"no primes found in {path}")
     vals.sort()

@@ -1,8 +1,14 @@
 import signal
 
 import pytest
+from hypothesis import settings
 
 from beurling import rational_primes
+
+# one fixed profile for every property test: the same examples on every run,
+# a bounded number of them, and no per-example deadline on a shared host
+settings.register_profile("beurling", derandomize=True, max_examples=50, deadline=None)
+settings.load_profile("beurling")
 
 
 @pytest.fixture(scope="session")

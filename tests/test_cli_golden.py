@@ -1,9 +1,11 @@
 """Golden CLI output: each invocation's stdout, hashed, against a recorded hash.
 
 The hashes were recorded from the commit before the g-integer walk was
-shared between counting and zeta, and the last seven (--config to --s-grid)
-from the commit before the CLI checked option values by argparse type
-(Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).  Every value is printed with repr(), so a numpy or libm that rounds
+shared between counting and zeta, the seven from --config to --s-grid
+from the commit before the CLI checked option values by argparse type, and
+the last two `gen` runs from the heap stream, before the sorted stream was
+read off the walk (Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
+Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
 removed from the environment because the manifest echoes the thread count.
@@ -92,6 +94,10 @@ MORE_INVOCATIONS = [
      "aaab42f37f077f2b1c1e6f137e3bc7fd8b750e986c23a7a26e3529e760cb3d55"),
     ("fe-check --pair theta --x-min 0.7 --x-max 1.4 --x-points 5 --s-grid 0.3+1i",
      "cb58663eb85f804fb3f8725d65198ace6e44eda7fad4b049632b0290f4dfcd94"),
+    ("gen --system list:2,4,8 --limit 1000 --bound 1000",
+     "555a02a31493a00a1357134311279ee01bd9a62ecc79691376a5cdae74c698cb"),
+    ("gen --system builtin:gaussian --limit 20000 --bound 20000",
+     "946395c722d84d4bc936cd2decc56f973b57ee49127ca07363b71d832b5917a7"),
 ]
 
 # `{config}` is a file holding CONFIG_TEXT; for `{out}` the written file is

@@ -53,6 +53,11 @@ FILE_TEXTS = {
     "latin1.txt": b"limit=\xe9\n",  # not UTF-8
 }
 FILE_TOKENS = ["missing.json", "."] + list(FILE_TEXTS)
+# the same files as prime lists, for the options that read one
+SYSTEM_FILE_TOKENS = {
+    option: [prefix + name for name in [".", *FILE_TEXTS]]
+    for option, prefix in (("--system", "file:"), ("--system2", "file:"), ("--oracle", "system:"))
+}
 
 
 def _value_options(command):
@@ -109,7 +114,8 @@ def test_malformed_values(base, option, in_workdir, alarm, capsys, request, monk
     if option == "--out":  # files of its own, which no other case reads
         monkeypatch.chdir(request.getfixturevalue("tmp_path"))
     problems = []
-    for token in POOL + (FILE_TOKENS if option in FILE_OPTIONS else []):
+    extra = FILE_TOKENS if option in FILE_OPTIONS else SYSTEM_FILE_TOKENS.get(option, [])
+    for token in POOL + extra:
         code = main(_substitute(base, option, token))
         out = capsys.readouterr()
         if code not in (0, 1, 2) or code and (out.out or len(out.err.splitlines()) != 1):

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,21 @@ def test_stream_bound_below_one():
     s = from_list([2, 3], limit=10)
     with pytest.raises(ParameterError):
         stream_gintegers(s, 0.5)
+
+
+def test_dropped_stream_is_freed_without_the_cycle_collector():
+    # a stream whose items referred back to it would wait for the cycle
+    # collector, and a loop of partly read streams would pile up their tables
+    s = rational_primes(1000)
+    gc.disable()
+    try:
+        stream = stream_gintegers(s, 1000)
+        next(stream)
+        ref = weakref.ref(stream)
+        del stream
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_count_N_below_one():

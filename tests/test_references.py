@@ -1,0 +1,202 @@
+"""The sorted stream and psi against the code they replaced, kept here as references.
+
+The stream was a min-heap over (log value, exponent vector); it is now a
+sorted view of one walk's table.  psi was a loop over the primes; it is now
+one array expression.  Both must give the same floats in the same order.
+"""
+import heapq
+import math
+import warnings
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from beurling import (
+    count_N,
+    from_list,
+    g_integer_values,
+    gaussian_system,
+    power_system,
+    psi,
+    rational_primes,
+    stream_gintegers,
+)
+from beurling import counting
+from beurling.errors import MaterialisationError
+from beurling.systems import GInteger, LOG_TIE_TOL, log_tolerance
+
+
+def heap_stream(system, bound):
+    """The heap stream: pop the minimum, push its extensions by primes at
+    indices >= its highest used one, drain each tie cluster around the
+    minimum and emit it in lexicographic order of exponent vectors."""
+    logs = system.log_primes
+    log_bound = math.log(bound) + log_tolerance(bound)
+    heap = [(0.0, ())]
+
+    def push_children(logv, exps):
+        start = exps[-1][0] if exps else 0
+        for j in range(start, system.nprimes):
+            child_log = logv + logs[j]
+            if child_log > log_bound:
+                break
+            if exps and j == start:
+                child = exps[:-1] + ((j, exps[-1][1] + 1),)
+            else:
+                child = exps + ((j, 1),)
+            heapq.heappush(heap, (child_log, child))
+
+    while heap:
+        logv0, exps0 = heapq.heappop(heap)
+        cluster = [(logv0, exps0)]
+        push_children(logv0, exps0)
+        while heap and heap[0][0] - logv0 <= LOG_TIE_TOL:
+            logv, exps = heapq.heappop(heap)
+            cluster.append((logv, exps))
+            push_children(logv, exps)
+        cluster.sort(key=lambda item: item[1])
+        for logv, exps in cluster:
+            yield GInteger(exps, logv)
+
+
+def reference_psi(system, x):
+    """The per-prime loop: floor(log x / log p) powers of each p, added in prime order."""
+    lx = math.log(x) + log_tolerance(x)
+    total = 0.0
+    for lp in system.log_primes:
+        if lp > lx:
+            break
+        total += math.floor(lx / lp) * lp
+    return float(total)
+
+
+def items(stream):
+    return [(g.exponents, g.log_value) for g in stream]
+
+
+def assert_same_stream(system, bound):
+    got = items(stream_gintegers(system, bound))
+    assert got == items(heap_stream(system, bound))
+    assert len(got) == count_N(system, bound)
+
+
+@st.composite
+def prime_lists(draw):
+    """Seeded prime lists with repeats, exact ties (a prime equal to a product
+    of two others) and near-ties (a prime 1e-13 or 6e-13 above another, so
+    that two near-ties can chain past LOG_TIE_TOL)."""
+    base = draw(st.lists(st.floats(1.5, 12.0), min_size=1, max_size=4))
+    primes = base + draw(st.lists(st.sampled_from(base), max_size=2))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)), max_size=1))
+    primes += [p * q for p, q in pairs if p * q <= 12.0]
+    near = st.tuples(st.sampled_from(base), st.sampled_from([1e-13, 6e-13]))
+    primes += [p * (1 + eps) for p, eps in draw(st.lists(near, max_size=2))]
+    return primes
+
+
+@st.composite
+def systems_and_bounds(draw):
+    """A system whose horizon holds at most about 2000 g-integers, and a bound:
+    the horizon, a g-integer value, or a point 1e-13 below one."""
+    primes = draw(prime_lists())
+    horizon = draw(st.floats(max(primes), 300.0))
+    while horizon / 2 >= max(primes) and count_N(from_list(primes, horizon), horizon) > 2000:
+        horizon /= 2
+    system = from_list(primes, horizon)
+    # exp(log v) may land one ulp above the horizon
+    value = min(horizon, draw(st.sampled_from(g_integer_values(system, horizon).tolist())))
+    bound = draw(st.sampled_from([horizon, value, max(1.0, value - 1e-13)]))
+    return system, bound
+
+
+@given(systems_and_bounds())
+def test_stream_is_the_heap_stream(case):
+    assert_same_stream(*case)
+
+
+FIXED = [
+    ([2.0, 4.0], 1000.0),
+    ([2.0, 4.0, 8.0], 1000.0),
+    ([2.0, 2.0, 3.0], 500.0),
+    ([1.5] * 3 + [2.0], 300.0),
+    ([2.0, 3.0, 4.0, 6.0, 9.0], 3000.0),
+    ([2.0, 2.0 * (1 + 1e-13), 3.0], 2000.0),
+    # 6, 6(1 + 6e-13), 2 * 3(1 + 1.2e-12): a chain of near-ties longer than
+    # LOG_TIE_TOL, whose clusters anchor at their first item
+    ([2.0, 3.0, 3.0 * (1 + 1.2e-12), 6.0 * (1 + 6e-13)], 100.0),
+    ([1 + 1e-13, 2.0], 2.0),  # a prime so close to 1 that its powers all tie
+]
+
+
+@pytest.mark.parametrize("primes,limit", FIXED, ids=[str(p[:4]) for p, _ in FIXED])
+def test_stream_is_the_heap_stream_on_tie_heavy_lists(primes, limit):
+    system = from_list(primes, limit)
+    bound = 1 + 1e-12 if primes[0] < 1.1 else limit
+    values = g_integer_values(system, bound).tolist()
+    for b in {bound, values[len(values) // 2], max(1.0, values[len(values) // 2] - 1e-13)}:
+        assert_same_stream(system, b)
+
+
+@pytest.mark.parametrize(
+    "make,bound",
+    [
+        (lambda: gaussian_system(3000), 3000.0),
+        (lambda: gaussian_system(3000), 2005.0),
+        (lambda: rational_primes(5000), 5000.0),
+        (lambda: power_system(rational_primes(2000), 0.5), 2000**0.5),
+        (lambda: power_system(rational_primes(100), 2.0), 2500.0 - 1e-13),
+        (lambda: power_system(gaussian_system(1000), 1.3), 1000**1.3),
+    ],
+    ids=["gaussian", "gaussian-value", "rationals", "rationals^0.5", "rationals^2", "gaussian^1.3"],
+)
+def test_stream_is_the_heap_stream_on_builtin_systems(make, bound):
+    assert_same_stream(make(), bound)
+
+
+def test_stream_caps(monkeypatch):
+    system = rational_primes(100)
+    monkeypatch.setattr(counting, "MATERIALISE_WARN_CAP", 50)
+    with pytest.warns(UserWarning, match="materialising 100 g-integers"):
+        stream_gintegers(system, 100)
+    monkeypatch.setattr(counting, "MATERIALISE_REFUSE_CAP", 99)
+    with pytest.raises(MaterialisationError):
+        stream_gintegers(system, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(list(stream_gintegers(system, 50))) == 50
+
+
+@st.composite
+def systems_and_points(draw):
+    primes = draw(prime_lists())
+    horizon = draw(st.floats(max(primes), 1e6))
+    system = from_list(primes, horizon)
+    x = draw(st.one_of(
+        st.floats(1.0, horizon),
+        st.sampled_from([horizon, *primes, *(p**2 for p in primes if p**2 <= horizon)]),
+    ))
+    return system, x
+
+
+@given(systems_and_points())
+def test_psi_is_the_prime_loop(case):
+    system, x = case
+    assert psi(system, x) == reference_psi(system, x)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        rational_primes(10**5),
+        gaussian_system(10**5),
+        power_system(rational_primes(10**4), 1.7),
+        from_list([1.001, 1.5, 1.5, 2.0], 10**4),
+    ],
+    ids=["rationals", "gaussian", "power", "near-one"],
+)
+def test_psi_is_the_prime_loop_on_fixed_systems(system):
+    limit = system.limit
+    points = [1.0, 1.5, 2.0, 2.0 - 1e-13, limit] + [1 + (limit - 1) * k / 97 for k in range(97)]
+    for x in points:
+        assert psi(system, x) == reference_psi(system, x), x

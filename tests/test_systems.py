@@ -171,6 +171,16 @@ def test_prime_file_default_limit(tmp_path):
     assert s.limit == 5.0
 
 
+@pytest.mark.parametrize(
+    "text,line", [("2.0\nabc\n", 2), ("# c\nlimit=xyz\n2.0\n", 2), ("2.0\n3.0 5.0\n", 2)]
+)
+def test_prime_file_malformed_line_is_a_domain_error(tmp_path, text, line):
+    p = tmp_path / "primes.txt"
+    p.write_text(text)
+    with pytest.raises(ParameterError, match=rf"primes.txt, line {line}: "):
+        from_file(p)
+
+
 def test_prime_file_empty_rejected(tmp_path):
     p = tmp_path / "primes.txt"
     p.write_text("# only comments\n")
