@@ -1,11 +1,11 @@
 """Enumeration of the multiplicative semigroup and its counting functions.
 
-Every g-integer comes from one depth-first walk, `_walk`: a vector extends
-by primes at indices >= its highest used one, so each is generated once,
-and each node's childless branches reach the consumer as one index range
-found by binary search.  Its consumers count N(x), sum Dirichlet series and
-build tables: the sorted value arrays and the sorted stream's table, each
-counted under one pair of caps before it is built, then sorted.
+A vector extends by primes at indices >= its highest used one, so each
+g-integer is generated once.  N(x), the sorted value arrays and the sorted
+stream's table (each counted under one pair of caps, built, then sorted) come
+from one numpy walk, `_batches`, that sums whole same-prime chains at once and
+forms the same floats as a depth-first walk.  The Dirichlet sum keeps a
+depth-first walk of its own: the order in which it adds terms sets its last bits.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance, per_sys
 
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
+PIECE = 2**16  # elements a walk expands at once, at most: bounds its working memory
 
 
 def _check_bound(system: GPrimeSystem, bound: float, what: str = "bound") -> None:
@@ -53,18 +53,9 @@ class GIntegerStream:
     def __init__(self, source: GPrimeSystem, bound: float):
         lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
         self.source, self.bound = source, bound
-        out = [np.array([0.0])]  # the rows of `_collect_logs_leq`
-        parent, prime = array("q", [0]), array("q", [0])  # 8 bytes a row; a list takes ~40
-        pushed = [0]  # rows of the nodes `_walk` has pushed, in its stack order
-        for lv, i, mid, hi in _walk(source, lb, tol):
-            row, start = pushed.pop(), len(parent)
-            out.append(lv + source._logs[i:hi])
-            parent.extend([row] * (hi - i))
-            prime.extend(range(i, hi))
-            pushed.extend(range(start, start + mid - i))
-        table = np.concatenate(out)
+        table, parent, prime = _table(source, lb, tol, links=True)
         order = np.argsort(table, kind="stable")
-        self._items = _sorted_items(memoryview(table[order]), memoryview(order), parent, prime)
+        self._items = _sorted_items(*map(memoryview, (table[order], order, parent, prime)))
 
     def __iter__(self):
         return self
@@ -73,7 +64,7 @@ class GIntegerStream:
         return next(self._items)
 
 
-def _sorted_items(logs: memoryview, rows: memoryview, parent: array, prime: array):
+def _sorted_items(logs: memoryview, rows: memoryview, parent: memoryview, prime: memoryview):
     """The stream's GIntegers from its sorted rows: row r extends row parent[r] by
     the prime at index prime[r]; row 0 is the g-integer 1.  This holds no reference
     to the stream, so a dropped stream is freed at once, not by the cycle collector."""
@@ -106,52 +97,103 @@ def stream_gintegers(system: GPrimeSystem, bound: float) -> GIntegerStream:
     return GIntegerStream(system, bound)
 
 
-def _walk(system: GPrimeSystem, log_bound: float, tol: float):
-    """Depth-first walk over the exponent vectors with log value <= log_bound + tol.
+def _spans(first: np.ndarray, stop: np.ndarray, piece: int):
+    """(k, j) for every j in first[k]..stop[k]-1, in order, at most `piece` pairs at a time."""
+    size = np.maximum(stop - first, 0)
+    ends = np.cumsum(size)
+    starts = ends - size
+    for start in range(0, int(ends[-1]), piece):
+        end = min(start + piece, int(ends[-1]))
+        a, b = np.searchsorted(ends, [start, end - 1], "right")  # the k this piece meets
+        cut = np.minimum(ends[a : b + 1], end) - np.maximum(starts[a : b + 1], start)
+        k = np.repeat(np.arange(a, b + 1), cut)
+        yield k, np.arange(start, end) - (starts - first)[k]
 
-    Yields (log value, i, mid, hi) per node.  The node's children extend it
-    by the primes at indices i..hi-1; those from mid on cannot extend any
-    further, so consumers account for them in bulk and only the children
-    below mid are walked as nodes themselves.  The walk is LIFO: after yielding
-    a node (the root first) it pushes its children i..mid-1 in ascending order.
+
+def _batches(system: GPrimeSystem, log_bound: float, tol: float):
+    """The walk over the exponent vectors with log value <= log_bound + tol.
+
+    A node (log value v, index i) is a g-integer the walk extends: its children
+    extend it by the primes at indices i..hi-1, and those from mid on (the
+    leaves) extend no further.  Child i continues the node's chain (the node
+    times powers of prime i) while logs[i] <= (log_bound + tol - v) / 2;
+    children i+1..mid-1 head chains of later batches.  A batch sums its chains
+    with one cumsum down a (chain step x head) array of at most PIECE elements,
+    so each value is the sequential sum a depth-first walk forms.  Yields per
+    batch the nodes' (v, i, mid, hi), chain by chain, each chain's length and
+    each head's parent's row.
     """
+    if not math.isfinite(log_bound):  # NaN passes every comparison; inf never ends
+        raise ParameterError(f"cannot walk to the log bound {log_bound}")
+    logs, top = system._logs, log_bound + tol
+    pending, row = [(np.zeros(1), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))], 0
+    while pending:
+        v, i, src = pending.pop()
+        step, rows = logs[i], min(int(np.max((top - v) / logs[i])) + 2, PIECE // len(v))
+        chain = np.cumsum(np.vstack([v, np.broadcast_to(step, (rows - 1, len(v)))]), axis=0)
+        length = np.minimum(1 + (step <= (top - chain) / 2).sum(axis=0), rows)
+        v, i = chain.T[np.arange(rows) < length[:, None]], np.repeat(i, length)
+        hi = np.maximum(np.searchsorted(logs, top - v, "right"), i)
+        mid = np.maximum(np.searchsorted(logs, (top - v) / 2, "right"), i)
+        yield v, i, mid, hi, length, src
+        first = i + 1
+        first[np.cumsum(length) - 1] -= 1  # a chain cut short at `rows` goes on as a head
+        for k, j in _spans(first, mid, PIECE):
+            pending.append((v[k] + logs[j], j, row + k))
+        row += len(v)
+
+
+def _count_leq(system: GPrimeSystem, log_bound: float, tol: float) -> int:
+    """Number of exponent vectors with log value <= log_bound + tol."""
+    batches = _batches(system, log_bound, tol)
+    return sum(len(v) + int((hi - mid).sum()) for v, _, mid, hi, *_ in batches)
+
+
+def _table(system: GPrimeSystem, log_bound: float, tol: float, links: bool = False):
+    """Log values of all exponent vectors <= the bound: the nodes in walk order, then
+    the leaves.  With `links`, also each row's parent row and prime index."""
+    walk = zip(*_batches(system, log_bound, tol))
+    v, i, mid, hi, length, src = (np.concatenate(c) for c in walk)
+    row = len(v)
+    out = np.concatenate([v, np.empty(int((hi - mid).sum()))])
+    if links:  # a chain node extends the row before it, a chain's head its parent
+        parent, prime = np.arange(-1, len(out) - 1), np.zeros(len(out), np.intp)
+        parent[np.cumsum(length) - length], prime[:row] = src, i
+    for k, j in _spans(mid, hi, PIECE):
+        out[row : row + len(k)] = v[k] + system._logs[j]
+        if links:
+            parent[row : row + len(k)], prime[row : row + len(k)] = k, j
+        row += len(k)
+    return (out, parent, prime) if links else out
+
+
+def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
+    """Unsorted log values of all exponent vectors <= the bound."""
+    return _table(system, log_bound, tol)
+
+
+def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
+    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol, by
+    a depth-first walk: its order of terms sets the sum's last bits."""
     if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
         raise ParameterError(f"cannot walk to the log bound {log_bound}")
     logs = system._log_list()
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system._logs))])
+    total = 0.0 + 0.0j
+    count = 0
     stack = [(0, 0.0)]
     while stack:
         i, lv = stack.pop()
         bt = log_bound + tol - lv
         hi = bisect_right(logs, bt, i)
         mid = bisect_right(logs, bt / 2, i)
-        yield lv, i, mid, hi
-        for j in range(i, mid):
-            stack.append((j, lv + logs[j]))
-
-
-def _count_leq(system: GPrimeSystem, log_bound: float, tol: float) -> int:
-    """Number of exponent vectors with log value <= log_bound + tol."""
-    return sum(1 + hi - mid for _, _, mid, hi in _walk(system, log_bound, tol))
-
-
-def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
-    """Unsorted log values of all exponent vectors <= the bound."""
-    logs = system._logs
-    out = [lv + logs[i:hi] for lv, i, _, hi in _walk(system, log_bound, tol)]
-    return np.concatenate([np.array([0.0])] + out)
-
-
-def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
-    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol."""
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system._logs))])
-    total = 0.0 + 0.0j
-    count = 0
-    for lv, _, mid, hi in _walk(system, log_bound, tol):
         nv = cmath.exp(-s * lv)
         total += nv
         count += 1
         total += nv * (prefix[hi] - prefix[mid])
         count += hi - mid
+        for j in range(i, mid):
+            stack.append((j, lv + logs[j]))
     return total, count
 
 
@@ -371,6 +413,8 @@ class CountingReport:
 def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     """One-pass counting report over a sorted grid of query points."""
     grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
+    if not np.isfinite(grid).all():  # NaN has no place in an order and passes every range check
+        raise ParameterError("grid points must be finite numbers")
     if len(grid) == 0:
         raise ParameterError("empty grid")
     if grid[0] < 1:

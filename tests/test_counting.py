@@ -28,6 +28,7 @@ from beurling.counting import (
 )
 from beurling.errors import IncompleteSystemError, ParameterError
 from beurling.systems import log_tolerance
+from beurling.zeta import zeta_dirichlet
 
 
 def brute_force_values(primes, bound):
@@ -333,7 +334,8 @@ def test_walked_system_equal_and_hash_equal():
     a = from_list([2, 2, 3.5], limit=100)
     b = from_list([2, 2, 3.5], limit=100)
     assert a == b and hash(a) == hash(b)
-    count_N(a, 50)  # builds a's cached log list; b stays unwalked
+    zeta_dirichlet(a, 2.0)  # fills a's derived data; b's stays empty
+    assert a._derived and not b._derived
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
 

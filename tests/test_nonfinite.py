@@ -8,11 +8,20 @@ import math
 
 import pytest
 
-from beurling import count_N, from_list, g_integer_values, gaussian_system, psi, rational_primes, stream_gintegers
+from beurling import (
+    count_N,
+    counting_report,
+    from_list,
+    g_integer_values,
+    gaussian_system,
+    psi,
+    rational_primes,
+    stream_gintegers,
+)
 from beurling.errors import ParameterError
 from beurling.mellin import expansion_from_json, residual_series_from_json
 from beurling.perron import PerronParams
-from beurling.zeta import zeta_dirichlet, zeta_mellin_identity_check
+from beurling.zeta import classify_ab, zeta_dirichlet, zeta_mellin_identity_check
 
 P = rational_primes(100)
 NAN = math.nan
@@ -49,6 +58,17 @@ def test_nan_or_endless_bound_raises(call, alarm):
 def test_non_finite_parameter_raises(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("point", [NAN, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_grid_point_raises(point):
+    # NaN has no place in `sorted` and passes the >= 1 check, so it once came back
+    # as a grid row (N=10 at a NaN point) and inside a classification fit
+    with pytest.raises(ParameterError, match="finite"):
+        counting_report(P, [5.0, point, 10.0])
+    grid = [100 * 100 ** (k / 39) for k in range(40)]
+    with pytest.raises(ParameterError):
+        classify_ab(rational_primes(10**4), grid[:20] + [point] + grid[20:])
 
 
 def test_list_with_infinite_limit_stays_valid():

@@ -1,12 +1,16 @@
-"""The sorted stream and psi against the code they replaced, kept here as references.
+"""The walk, the sorted stream and psi against the code they replaced, kept here as references.
 
-The stream was a min-heap over (log value, exponent vector); it is now a
-sorted view of one walk's table.  psi was a loop over the primes; it is now
-one array expression.  Both must give the same floats in the same order.
+The g-integer walk was depth-first; it is now batched over whole same-prime
+chains.  The stream was a min-heap over (log value, exponent vector); it is
+now a sorted view of one walk's table.  psi was a loop over the primes; it
+is now one array expression.  All must give the same floats.
 """
 import heapq
 import math
 import warnings
+from bisect import bisect_right
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -25,6 +29,31 @@ from beurling import (
 from beurling import counting
 from beurling.errors import MaterialisationError
 from beurling.systems import GInteger, LOG_TIE_TOL, log_tolerance
+
+
+def dfs_walk(system, log_bound, tol):
+    """The depth-first walk: yields (log value, i, mid, hi) per node, whose children
+    extend it by the primes at indices i..hi-1; those below mid are walked as nodes."""
+    logs = system.log_primes.tolist()
+    stack = [(0, 0.0)]
+    while stack:
+        i, lv = stack.pop()
+        bt = log_bound + tol - lv
+        hi = bisect_right(logs, bt, i)
+        mid = bisect_right(logs, bt / 2, i)
+        yield lv, i, mid, hi
+        for j in range(i, mid):
+            stack.append((j, lv + logs[j]))
+
+
+def dfs_count(system, log_bound, tol):
+    return sum(1 + hi - mid for _, _, mid, hi in dfs_walk(system, log_bound, tol))
+
+
+def dfs_collect(system, log_bound, tol):
+    logs = system.log_primes
+    out = [lv + logs[i:hi] for lv, i, _, hi in dfs_walk(system, log_bound, tol)]
+    return np.concatenate([np.array([0.0])] + out)
 
 
 def heap_stream(system, bound):
@@ -96,12 +125,15 @@ def prime_lists(draw):
 
 
 @st.composite
-def systems_and_bounds(draw):
-    """A system whose horizon holds at most about 2000 g-integers, and a bound:
-    the horizon, a g-integer value, or a point 1e-13 below one."""
+def systems_and_bounds(draw, near_one=False, most=2000):
+    """A system whose horizon holds at most about `most` g-integers, and a bound:
+    the horizon, a g-integer value, or a point 1e-13 below one.  With `near_one`,
+    perhaps one more prime in [1.0005, 1.05], whose chain runs to thousands of steps."""
     primes = draw(prime_lists())
+    if near_one:
+        primes += draw(st.lists(st.floats(1.0005, 1.05), max_size=1))
     horizon = draw(st.floats(max(primes), 300.0))
-    while horizon / 2 >= max(primes) and count_N(from_list(primes, horizon), horizon) > 2000:
+    while horizon / 2 >= max(primes) and count_N(from_list(primes, horizon), horizon) > most:
         horizon /= 2
     system = from_list(primes, horizon)
     # exp(log v) may land one ulp above the horizon
@@ -115,6 +147,44 @@ def test_stream_is_the_heap_stream(case):
     assert_same_stream(*case)
 
 
+@given(systems_and_bounds(near_one=True, most=20000))
+def test_walk_is_the_depth_first_walk(case):
+    system, bound = case
+    first, last = system.log_primes[[0, -1]].tolist()
+    # and with no tolerance, log bounds that the largest prime and the smallest
+    # prime's square meet exactly: a child on the bound, a chain on its edge
+    for lb, tol in [(math.log(bound), log_tolerance(bound)), (last, 0.0), (2 * first, 0.0)]:
+        assert counting._count_leq(system, lb, tol) == dfs_count(system, lb, tol)
+        got = np.sort(counting._collect_logs_leq(system, lb, tol))
+        assert got.tobytes() == np.sort(dfs_collect(system, lb, tol)).tobytes()
+
+
+def test_walk_batches_whole_chains():
+    """A batch sums whole chains: 1.001 has 6911 powers below 1e3, which a walk
+    taking one round per unit of exponent would take 6911 rounds over."""
+    system = from_list([1.001, 2.0], 1e300)
+    assert len(list(counting._batches(system, math.log(1e3), log_tolerance(1e3)))) <= 3
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+def test_piece_size_changes_no_result(monkeypatch, piece):
+    cases = [
+        (rational_primes(1000), 1000.0),
+        (from_list([2.0, 3.0, 4.0, 6.0, 9.0], 3000.0), 3000.0),
+        (from_list([1.01, 1.5, 2.0], 1e300), 60.0),
+    ]
+
+    def results():
+        for system, bound in cases:
+            lb, tol = math.log(bound), log_tolerance(bound)
+            logs = np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes()
+            yield counting._count_leq(system, lb, tol), logs, items(stream_gintegers(system, bound))
+
+    expected = list(results())
+    monkeypatch.setattr(counting, "PIECE", piece)
+    assert list(results()) == expected
+
+
 FIXED = [
     ([2.0, 4.0], 1000.0),
     ([2.0, 4.0, 8.0], 1000.0),
@@ -126,13 +196,15 @@ FIXED = [
     # LOG_TIE_TOL, whose clusters anchor at their first item
     ([2.0, 3.0, 3.0 * (1 + 1.2e-12), 6.0 * (1 + 6e-13)], 100.0),
     ([1 + 1e-13, 2.0], 2.0),  # a prime so close to 1 that its powers all tie
+    ([1.001, 2.0], 4.0),  # primes near 1: chains of hundreds or thousands of steps
+    ([1.01, 1.5, 2.0], 60.0),
 ]
 
 
 @pytest.mark.parametrize("primes,limit", FIXED, ids=[str(p[:4]) for p, _ in FIXED])
 def test_stream_is_the_heap_stream_on_tie_heavy_lists(primes, limit):
     system = from_list(primes, limit)
-    bound = 1 + 1e-12 if primes[0] < 1.1 else limit
+    bound = 1 + 1e-12 if primes[0] < 1 + 1e-12 else limit
     values = g_integer_values(system, bound).tolist()
     for b in {bound, values[len(values) // 2], max(1.0, values[len(values) // 2] - 1e-13)}:
         assert_same_stream(system, b)
