@@ -20,32 +20,22 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import __version__
 from .counting import counting_report, stream_gintegers
-from .errors import BeurlingError, IncompleteSystemError, ParameterError
-from .mellin import (
-    EXPANSIONS,
-    KERNELS,
-    PartitionSpec,
-    check_fe_mellin,
-    continue_Gzeta,
-    expansion_from_json,
-    fe_residual,
-    mellin_G,
-    partition_F,
-    residual_series_from_json,
-    theta_pair,
-)
-from .orders import InducedOracle, OrderOracle, ProcessOracle, check_axioms, orderings_coincide, reconstruct
-from .perron import PerronParams, perron_convergence_scan, perron_psi
 from .counting import psi as psi_exact
+from .errors import BeurlingError, IncompleteSystemError, ParameterError
 from .systems import GPrimeSystem, from_file, from_list, gaussian_system, power_system, rational_primes
 from .zeta import TailedValue, phi_continued, phi_dirichlet, zeta_dirichlet, zeta_euler, zeta_mellin_identity_check
+
+if TYPE_CHECKING:
+    from .orders import OrderOracle
+
+# The mellin (and with it mpmath), orders and perron layers are imported by the
+# commands that use them, so a process pays only for the layers its command needs.
 
 
 MAX_GRID_POINTS = 10**6
@@ -219,7 +209,7 @@ def cmd_count(args) -> int:
 
 def _mellin_identity(system, s: complex, cutoff: float | None) -> TailedValue:
     """The Mellin-identity residual as a value with no tail."""
-    x_max = cutoff if cutoff else system.limit
+    x_max = cutoff if cutoff is not None else system.limit
     return TailedValue(complex(zeta_mellin_identity_check(system, s, x_max)), 0.0, "mellin", x_max)
 
 
@@ -245,6 +235,8 @@ def _s_rows(texts: list[str], evaluate, threads: int = 1) -> list[list[str]]:
 
     # evaluations are pure; shard across threads, assemble in input order
     if threads > 1 and len(texts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             return list(pool.map(row, texts))
     return [row(text) for text in texts]
@@ -258,6 +250,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_perron(args) -> int:
+    from .perron import PerronParams, perron_convergence_scan, perron_psi
+
     system = _load_system(args, args.system)
     rows = []
     header = ["T", "value", "oracle", "error", "budget", "imag_residual"]
@@ -291,6 +285,8 @@ def cmd_perron(args) -> int:
 
 
 def _load_expansion(spec: str):
+    from .mellin import EXPANSIONS, expansion_from_json
+
     if spec in EXPANSIONS:
         return EXPANSIONS[spec]
     with open(spec) as fh:
@@ -298,6 +294,8 @@ def _load_expansion(spec: str):
 
 
 def cmd_mellin(args) -> int:
+    from .mellin import KERNELS, continue_Gzeta, mellin_G, partition_F
+
     kernel = KERNELS.get(args.kernel)
     if kernel is None:
         raise ParameterError(f"unknown kernel {args.kernel!r}; have {sorted(KERNELS)}")
@@ -321,10 +319,19 @@ def cmd_mellin(args) -> int:
 
 
 def cmd_fe_check(args) -> int:
+    from .mellin import (
+        KERNELS,
+        PartitionSpec,
+        check_fe_mellin,
+        fe_residual,
+        residual_series_from_json,
+        theta_pair,
+    )
+
     if not (0 < args.x_min < math.inf and 0 < args.x_max < math.inf and args.x_points >= 0):
         raise ParameterError("fe-check needs finite --x-min, --x-max > 0 and --x-points >= 0")
     if args.pair == "theta":
-        spec1, spec2, H = theta_pair(args.limit or 10**4)
+        spec1, spec2, H = theta_pair(10**4 if args.limit is None else args.limit)
     else:
         system = _load_system(args, args.system)
         kernel = KERNELS.get(args.kernel)
@@ -365,6 +372,8 @@ def cmd_fe_check(args) -> int:
 
 
 def _load_oracle(args) -> OrderOracle:
+    from .orders import InducedOracle, ProcessOracle
+
     kind, _, rest = args.oracle.partition(":")
     if kind == "cmd":
         return ProcessOracle(rest)
@@ -376,6 +385,8 @@ def _load_oracle(args) -> OrderOracle:
 
 
 def cmd_order(args) -> int:
+    from .orders import orderings_coincide, reconstruct
+
     if args.action == "reconstruct":
         with _load_oracle(args) as oracle:
             rec = reconstruct(oracle, args.p1, args.K, args.n)
@@ -409,6 +420,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .orders import check_axioms
+
     with _load_oracle(args) as oracle:
         rep = check_axioms(oracle, _parse_window(args.window))
     a3 = "undetermined" if rep.a3_ok is None else str(rep.a3_ok).lower()

@@ -248,38 +248,60 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
     return int(np.searchsorted(system._logs, math.log(x) + log_tolerance(x), side="right"))
 
 
-def _prime_power_loop(system: GPrimeSystem, bound: float):
+def _build_prime_powers(system: GPrimeSystem, bound: float):
+    """(L, W, cumsum W) over the prime powers <= bound, by log value, ties by prime
+    index and then exponent: the order a stable sort of a prime-by-prime loop gives.
+
+    Each prime's powers are one sequential cumsum of its log, the floats of the
+    loop's repeated `v += log p`.
+    """
     lb = math.log(bound) + log_tolerance(bound)
-    L: list[float] = []
-    W: list[float] = []
-    for lp in system._logs:
-        v = lp
-        while v <= lb:
-            L.append(v)
-            W.append(lp)
-            v += lp
-    order = np.argsort(np.asarray(L), kind="stable")
-    W = np.asarray(W)[order]
-    return np.asarray(L)[order], W, np.cumsum(W)
+    logs = system._logs
+    n = int(np.searchsorted(logs, lb, side="right"))
+    L, i, k = [logs[:n]], [np.arange(n)], [np.ones(n, dtype=np.intp)]
+    for j in range(int(np.searchsorted(logs, lb / 2, side="right"))):  # lp + lp <= lb
+        lp = logs[j]
+        # the sum of m terms is within a relative m * 2**-53 of m * lp, far inside
+        # the 1e-6 margin, so the last sum passes lb
+        powers = np.cumsum(np.full(int(lb / lp * (1 + 1e-6)) + 2, lp))
+        m = int(np.searchsorted(powers, lb, side="right"))
+        L.append(powers[1:m])
+        i.append(np.full(m - 1, j))
+        k.append(np.arange(2, m + 1))
+    L, i, k = (np.concatenate(c) for c in (L, i, k))
+    order = np.lexsort((k, i, L))
+    W = logs[i[order]]
+    return L[order], W, np.cumsum(W)
 
 
 @per_system
-def _psi_profile(system: GPrimeSystem):
-    """(L, W, cumsum W): the prime-power table up to the horizon."""
-    return _prime_power_loop(system, system.limit)
+def _psi_profile(system: GPrimeSystem) -> list:
+    """A cell holding the prime-power table built so far: (top, L, W, cumsum W), the
+    table up to the value `top`.  `_prime_powers` grows it; threads that grow it
+    together each build and slice their own table, and one of them is kept."""
+    return [(0.0, np.zeros(0), np.zeros(0), np.zeros(0))]
 
 
 def _prime_powers(system: GPrimeSystem, bound: float):
     """(L, W, cumsum W) over the prime powers <= bound, sliced from `_psi_profile`.
 
-    The slice equals the loop run to the bound: the same floats in the same order.
+    A bound past the table's top rebuilds it up to min(horizon, bound**2), which at
+    least doubles the top's log: from a first bound b > 1, reaching a top B takes
+    at most 1 + log2(log B / log b) builds, and a first bound at or above the
+    horizon's square root takes one.  The slice equals the table built to the
+    bound: the same floats in the same order.
     """
     _check_bound(system, bound)
     if bound <= 0:
         raise ParameterError(f"bound must be positive, got {bound}")
-    if math.isinf(system.limit):  # no horizon to build a table up to
-        return _prime_power_loop(system, bound)
-    L, W, cum = _psi_profile(system)
+    if math.isinf(system.limit):  # no horizon to cap the table at
+        return _build_prime_powers(system, bound)
+    cell = _psi_profile(system)
+    top, L, W, cum = cell[0]
+    if bound > top:
+        top = min(system.limit, max(bound, bound * bound))
+        L, W, cum = _build_prime_powers(system, top)
+        cell[0] = (top, L, W, cum)
     k = np.searchsorted(L, math.log(bound) + log_tolerance(bound), side="right")
     return L[:k], W[:k], cum[:k]
 

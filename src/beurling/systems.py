@@ -72,18 +72,24 @@ class GPrimeSystem:
     def __post_init__(self):
         if not self.primes:
             raise EmptySystemError("a g-prime system needs at least one prime")
-        prev = 1.0
-        for p in self.primes:
-            if not (p > 1.0) or not math.isfinite(p):
-                raise InvalidPrimeError(f"g-prime {p!r} is not a real > 1")
-            if p < prev:
-                raise InvalidPrimeError("primes must be nondecreasing")
-            prev = p
+        primes = np.array(self.primes)
+        numeric = primes.dtype.kind in "fi"
+        valid = numeric and np.isfinite(primes).all() and primes[0] > 1.0
+        if not (valid and (primes[1:] >= primes[:-1]).all()):
+            # find the first offending entry, for its message; entries of other
+            # types (a Fraction, say) are checked here and may all pass
+            prev = 1.0
+            for p in self.primes:
+                if not (p > 1.0) or not math.isfinite(p):
+                    raise InvalidPrimeError(f"g-prime {p!r} is not a real > 1")
+                if p < prev:
+                    raise InvalidPrimeError("primes must be nondecreasing")
+                prev = p
         if not (self.limit >= self.primes[-1]):
             raise ParameterError(
                 f"limit {self.limit} is below the largest prime {self.primes[-1]}"
             )
-        logs = np.log(np.asarray(self.primes, dtype=float))
+        logs = np.log(primes if numeric else np.asarray(self.primes, dtype=float), dtype=float)
         logs.flags.writeable = False
         object.__setattr__(self, "_logs", logs)
 
@@ -165,15 +171,14 @@ def from_list(values: Iterable[float], limit: float, label: str = "") -> GPrimeS
     return GPrimeSystem(tuple(vals), float(limit), label or "explicit list")
 
 
-def _sieve(n: int) -> list[int]:
-    if n < 2:
-        return []
-    mask = bytearray([1]) * (n + 1)
-    mask[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
+def _sieve(n: int) -> np.ndarray:
+    """The rational primes <= n, ascending."""
+    mask = np.ones(max(n + 1, 2), dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if mask[p]:
-            mask[p * p :: p] = b"\x00" * len(mask[p * p :: p])
-    return [i for i, m in enumerate(mask) if m]
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
 
 
 def _check_sieve_limit(limit: float) -> None:
@@ -187,7 +192,7 @@ def rational_primes(limit: float) -> GPrimeSystem:
     if limit < 2:
         raise EmptySystemError(f"no rational primes below {limit}")
     ps = _sieve(int(math.floor(limit)))
-    return GPrimeSystem(tuple(float(p) for p in ps), float(limit), "rational primes")
+    return GPrimeSystem(tuple(ps.astype(float).tolist()), float(limit), "rational primes")
 
 
 def gaussian_system(limit: float) -> GPrimeSystem:
@@ -199,14 +204,12 @@ def gaussian_system(limit: float) -> GPrimeSystem:
     _check_sieve_limit(limit)
     if limit < 2:
         raise EmptySystemError(f"gaussian system needs limit >= 2, got {limit}")
-    vals: list[float] = [2.0]
-    for p in _sieve(int(math.floor(limit))):
-        if p % 4 == 1:
-            vals.extend([float(p), float(p)])
-        elif p % 4 == 3 and p * p <= limit:
-            vals.append(float(p * p))
-    vals.sort()
-    return GPrimeSystem(tuple(vals), float(limit), "Q(i) norms")
+    n = int(math.floor(limit))
+    ps = _sieve(n)
+    split = ps[ps % 4 == 1]
+    inert = ps[(ps % 4 == 3) & (ps <= math.isqrt(n))]  # q * q <= limit, for integer q
+    vals = np.sort(np.concatenate([[2], np.repeat(split, 2), inert * inert]).astype(float))
+    return GPrimeSystem(tuple(vals.tolist()), float(limit), "Q(i) norms")
 
 
 def power_system(system: GPrimeSystem, lam: float) -> GPrimeSystem:

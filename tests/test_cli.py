@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -347,3 +349,25 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("#")
+
+
+def test_exact_commands_import_no_analytic_layer():
+    """count, gen and zeta never load mpmath, subprocess or the mellin, orders and perron layers."""
+    script = """
+import contextlib, io, sys
+from beurling.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["count", "--system", "builtin:rationals", "--limit", "1000", "--grid", "10:1000:10"]),
+        main(["gen", "--system", "list:2,3", "--limit", "100", "--bound", "50"]),
+        main(["zeta", "--system", "builtin:rationals", "--limit", "1000", "--s", "2", "--method", "euler"]),
+    ]
+heavy = ("mpmath", "subprocess", "concurrent.futures", "beurling.mellin", "beurling.orders", "beurling.perron")
+print(codes, [m for m in heavy if m in sys.modules])
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("BEURLING_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] []\n"

@@ -121,3 +121,30 @@ def test_malformed_values(base, option, in_workdir, alarm, capsys, request, monk
         if code not in (0, 1, 2) or code and (out.out or len(out.err.splitlines()) != 1):
             problems.append((token, code, out.out[:200], out.err))
     assert not problems
+
+
+def _theta_pair_zero_error():
+    from beurling.errors import EmptySystemError
+    from beurling.mellin import theta_pair
+
+    with pytest.raises(EmptySystemError) as exc:
+        theta_pair(0.0)  # --limit reads a float
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ("fe-check --pair theta --limit 0 --x-points 3", _theta_pair_zero_error),
+        (
+            "zeta --system list:2,3 --limit 100 --s 2 --method mellin --cutoff 0",
+            lambda: "error: x_max 0.0 is outside [1, 100.0]\n",
+        ),
+    ],
+    ids=["fe-check|--limit", "zeta mellin|--cutoff"],
+)
+def test_zero_is_a_value_not_an_absent_option(argv, err, in_workdir, capsys):
+    """A 0 is read as given: it is out of range, not a fallback to the default."""
+    assert main(shlex.split(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err()

@@ -1,8 +1,9 @@
 """Derived tables cached on the system: prefix identity, lifetime, cache counters.
 
-The prime-power table and the partition-sum table are built once per system,
-up to its horizon, and every bound reads a prefix of them.  The per-bound
-loop they replaced is kept here as the reference.
+The partition-sum table is built once per system, up to its horizon; the
+prime-power table grows from the first bound asked to min(horizon, bound**2)
+as bounds pass it.  Every bound reads a prefix of them; a prime-power prefix
+must equal the per-bound loop kept in test_references.py.
 """
 import gc
 import math
@@ -24,22 +25,8 @@ from beurling import counting, mellin, zeta
 from beurling.counting import _prime_powers, prime_power_table
 from beurling.mellin import KERNELS, Kernel, partition_F
 from beurling.perron import PerronParams, perron_psi
-from beurling.systems import log_tolerance
 from beurling.zeta import phi_continued, phi_dirichlet, zeta_euler
-
-
-def reference_prime_power_table(system, bound):
-    """The per-bound loop: prime powers <= bound, sorted stably by log value."""
-    lb = math.log(bound) + log_tolerance(bound)
-    L, W = [], []
-    for lp in system.log_primes:
-        v = lp
-        while v <= lb:
-            L.append(v)
-            W.append(lp)
-            v += lp
-    order = np.argsort(np.asarray(L), kind="stable")
-    return np.asarray(L)[order], np.asarray(W)[order]
+from test_references import reference_prime_powers
 
 
 def _systems():
@@ -69,9 +56,9 @@ def test_prime_power_table_is_the_per_bound_loop(system):
     rng = random.Random(11)
     for bound in _bounds(system, rng):
         L, W = prime_power_table(system, bound)
-        ref_L, ref_W = reference_prime_power_table(system, bound)
+        ref_L, ref_W, ref_cum = reference_prime_powers(system, bound)
         assert np.array_equal(L, ref_L) and np.array_equal(W, ref_W), bound
-        assert np.array_equal(_prime_powers(system, bound)[2], np.cumsum(ref_W)), bound
+        assert np.array_equal(_prime_powers(system, bound)[2], ref_cum), bound
 
 
 def _probe_kernel(seen):
@@ -123,20 +110,24 @@ def test_derived_data_is_outside_eq_hash_repr():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_tables_are_built_once_per_system(monkeypatch):
-    """Every bound reads the one table: one loop, one materialisation."""
-    calls = {"loop": 0, "logs": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(counting, "_prime_power_loop", counted("loop", counting._prime_power_loop))
-    monkeypatch.setattr(mellin, "_sorted_logs_leq", counted("logs", mellin._sorted_logs_leq))
+    """Every bound reads the one table: one build, one materialisation, when the
+    first bound is at or above the horizon's square root (500.5**2 > 3000)."""
+    builds = _count_calls(monkeypatch, counting, "_build_prime_powers", [])
+    materialised = _count_calls(monkeypatch, mellin, "_sorted_logs_leq", [])
     system = rational_primes(3000)
-    for bound in (10.0, 500.5, 3000.0):
+    for bound in (500.5, 10.0, 3000.0):
         prime_power_table(system, bound)
         phi_dirichlet(system, 2.0, bound)
         phi_continued(system, 0.8, bound)
@@ -144,7 +135,18 @@ def test_tables_are_built_once_per_system(monkeypatch):
     for x in (0.01, 0.3, 2.0):
         partition_F(system, KERNELS["exp"], x)
         partition_F(system, KERNELS["gauss"], x, cutoff=100.0)
-    assert calls == {"loop": 1, "logs": 1}
+    assert len(builds) == len(materialised) == 1
+
+
+def test_prime_power_table_grows_from_the_bound(monkeypatch):
+    """A bound past the table rebuilds it to min(horizon, bound**2), not to the horizon."""
+    builds = _count_calls(monkeypatch, counting, "_build_prime_powers", [])
+    system = from_list([1.001, 2.0], 1e300)
+    for bound in (10.0, 50.0, 100.0, 101.0, 1e5, 1e200):
+        L, W = prime_power_table(system, bound)
+        ref_L, ref_W, _ = reference_prime_powers(system, bound)
+        assert np.array_equal(L, ref_L) and np.array_equal(W, ref_W), bound
+    assert [top for _, top in builds] == [100.0, 101.0**2, 1e10, 1e300]
 
 
 def test_cache_info_one_miss_then_hits():

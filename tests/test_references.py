@@ -1,14 +1,18 @@
-"""The walk, the sorted stream and psi against the code they replaced, kept here as references.
+"""The walk, the sorted stream, psi and the system builds against the code they
+replaced, kept here as references.
 
 The g-integer walk was depth-first; it is now batched over whole same-prime
 chains.  The stream was a min-heap over (log value, exponent vector); it is
 now a sorted view of one walk's table.  psi was a loop over the primes; it
-is now one array expression.  All must give the same floats.
+is now one array expression.  The sieve, the Gaussian system, the validation
+of a system's primes and the prime-power table were loops; they are now array
+operations.  All must give the same floats, and the same errors.
 """
 import heapq
 import math
 import warnings
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,9 +30,9 @@ from beurling import (
     rational_primes,
     stream_gintegers,
 )
-from beurling import counting
-from beurling.errors import MaterialisationError
-from beurling.systems import GInteger, LOG_TIE_TOL, log_tolerance
+from beurling import counting, systems
+from beurling.errors import InvalidPrimeError, MaterialisationError
+from beurling.systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
 
 
 def dfs_walk(system, log_bound, tol):
@@ -272,3 +276,158 @@ def test_psi_is_the_prime_loop_on_fixed_systems(system):
     points = [1.0, 1.5, 2.0, 2.0 - 1e-13, limit] + [1 + (limit - 1) * k / 97 for k in range(97)]
     for x in points:
         assert psi(system, x) == reference_psi(system, x), x
+
+
+def reference_sieve(n):
+    """The bytearray sieve: the rational primes <= n."""
+    if n < 2:
+        return []
+    mask = bytearray([1]) * (n + 1)
+    mask[0:2] = b"\x00\x00"
+    for p in range(2, int(n**0.5) + 1):
+        if mask[p]:
+            mask[p * p :: p] = b"\x00" * len(mask[p * p :: p])
+    return [i for i, m in enumerate(mask) if m]
+
+
+def reference_gaussian(limit):
+    """The Gaussian loop: 2, each p = 1 (mod 4) twice, q**2 for q = 3 (mod 4) while q**2 <= limit."""
+    vals = [2.0]
+    for p in reference_sieve(int(math.floor(limit))):
+        if p % 4 == 1:
+            vals.extend([float(p), float(p)])
+        elif p % 4 == 3 and p * p <= limit:
+            vals.append(float(p * p))
+    vals.sort()
+    return tuple(vals)
+
+
+def reference_validation(primes):
+    """The validation loop of a system's primes: raises at the first offending entry."""
+    prev = 1.0
+    for p in primes:
+        if not (p > 1.0) or not math.isfinite(p):
+            raise InvalidPrimeError(f"g-prime {p!r} is not a real > 1")
+        if p < prev:
+            raise InvalidPrimeError("primes must be nondecreasing")
+        prev = p
+
+
+def reference_prime_powers(system, bound):
+    """The prime-by-prime loop: each prime's powers by repeated addition of its
+    log, then a stable sort by log value."""
+    lb = math.log(bound) + log_tolerance(bound)
+    L, W = [], []
+    for lp in system.log_primes:
+        v = lp
+        while v <= lb:
+            L.append(v)
+            W.append(lp)
+            v += lp
+    order = np.argsort(np.asarray(L), kind="stable")
+    W = np.asarray(W)[order]
+    return np.asarray(L)[order], W, np.cumsum(W)
+
+
+# small limits, the squares of 3 and 7 (primes = 3 mod 4), points just below
+# squares, and a limit past the sieve's first 1000 primes
+SIEVE_LIMITS = [0, 1, 2, 2.5, 3, 4, 9, 9 - 1e-9, 49, 49 - 1e-12, 121 - 1e-9, 361, 1e4 + 0.5]
+
+
+@given(st.one_of(st.sampled_from(SIEVE_LIMITS), st.integers(0, 5000), st.floats(0.0, 5000.0)))
+def test_sieved_systems_are_the_loops(limit):
+    n = int(math.floor(limit))
+    assert systems._sieve(n).tolist() == reference_sieve(n)
+    if limit < 2:
+        return
+    got = rational_primes(limit).primes
+    assert got == tuple(float(p) for p in reference_sieve(n))
+    assert all(type(p) is float for p in got)
+    got = gaussian_system(limit).primes
+    assert got == reference_gaussian(limit)
+    assert all(type(p) is float for p in got)
+
+
+@st.composite
+def systems_near_one(draw):
+    """Generated prime lists (repeats, ties, near-ties), perhaps with primes in
+    [1.0005, 1.05], and a bound up to the horizon."""
+    primes = draw(prime_lists()) + draw(st.lists(st.floats(1.0005, 1.05), max_size=2))
+    horizon = draw(st.floats(max(primes), 1e6))
+    bound = draw(st.one_of(st.floats(1.0, horizon), st.sampled_from([horizon, *primes])))
+    return from_list(primes, horizon), bound
+
+
+@given(systems_near_one())
+def test_prime_power_table_is_the_prime_loop(case):
+    system, bound = case
+    got = counting._build_prime_powers(system, bound)
+    for a, b in zip(got, reference_prime_powers(system, bound)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), bound
+
+
+def _outcome(check, primes):
+    try:
+        check(primes)
+    except InvalidPrimeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _placed(primes, bad, at):
+    """`primes` with entry `at` replaced by `bad`."""
+    return primes[:at] + [bad] + primes[at + 1 :]
+
+
+def _descent(primes, at):
+    """`primes` with entries at and at + 1 swapped."""
+    return primes[:at] + [primes[at + 1], primes[at]] + primes[at + 2 :]
+
+
+BAD_PRIMES = [math.nan, math.inf, -math.inf, 1.0, 0.5, 0.0, -3.0, 1 - 1e-16]
+
+
+@given(
+    st.lists(st.floats(1.0001, 1e6), min_size=2, max_size=6, unique=True).map(sorted),
+    st.sampled_from(BAD_PRIMES),
+)
+def test_validation_is_the_loop(primes, bad):
+    """NaN, infinities and values <= 1, and a descent, at the first, a middle and the last position."""
+    last = len(primes) - 1
+    cases = [primes, [int(p) + 2 for p in primes], [Fraction(3, 2), 2]]
+    cases += [_placed(primes, bad, at) for at in (0, last // 2, last)]
+    cases += [_descent(primes, at) for at in (0, (last - 1) // 2, last - 1)]
+    for case in cases:
+        expected = _outcome(reference_validation, case)
+        assert _outcome(lambda ps: GPrimeSystem(tuple(ps), math.inf), case) == expected, case
+
+
+def _first_bound_reaching(target):
+    """The least float bound b whose log bound, log b + log_tolerance(b), is >= target."""
+    b = math.exp(target - log_tolerance(math.exp(target)))
+    while math.log(b) + log_tolerance(b) < target:
+        b = float(np.nextafter(b, math.inf))
+    while math.log(c := float(np.nextafter(b, 0.0))) + log_tolerance(c) >= target:
+        b = c
+    return b
+
+
+def test_prime_power_table_at_the_log_bound_of_a_power():
+    """Bounds whose log bound is the first float at or above a power's sum: a
+    search on the wrong side of a tie, or a sum array cut at lb / lp terms
+    (the sum of k terms can sit below k * lp), drops that power."""
+    ties = under = 0
+    for primes in ([2.0, 3.0, 5.0], [1.001, 1.003, 2.0]):
+        system = from_list(primes, 100.0)
+        for lp in system.log_primes.tolist():
+            for k, s in enumerate(np.cumsum(np.full(300, lp)).tolist(), 1):
+                if s > math.log(100.0):
+                    break
+                bound = _first_bound_reaching(s)
+                lb = math.log(bound) + log_tolerance(bound)
+                ties += lb == s
+                under += int(lb / lp) < k
+                got = counting._build_prime_powers(system, bound)
+                for a, b in zip(got, reference_prime_powers(system, bound)):
+                    assert a.tobytes() == b.tobytes(), (primes, k, bound)
+    assert ties and under  # both edges were met
