@@ -53,9 +53,9 @@ class GIntegerStream:
     def __init__(self, source: GPrimeSystem, bound: float):
         lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
         self.source, self.bound = source, bound
-        table, parent, prime = _table(source, lb, tol, links=True)
+        table, *links = _table(source, lb, tol, links=True)
         order = np.argsort(table, kind="stable")
-        self._items = _sorted_items(*map(memoryview, (table[order], order, parent, prime)))
+        self._items = _sorted_items(*map(memoryview, (table[order], order, *links)))
 
     def __iter__(self):
         return self
@@ -64,19 +64,22 @@ class GIntegerStream:
         return next(self._items)
 
 
-def _sorted_items(logs: memoryview, rows: memoryview, parent: memoryview, prime: memoryview):
-    """The stream's GIntegers from its sorted rows: row r extends row parent[r] by
-    the prime at index prime[r]; row 0 is the g-integer 1.  This holds no reference
-    to the stream, so a dropped stream is freed at once, not by the cycle collector."""
+def _sorted_items(
+    logs: memoryview, rows: memoryview, back: memoryview, run: memoryview, prime: memoryview
+):
+    """The stream's GIntegers from its sorted rows: row r extends row back[r] by
+    run[r] factors of the prime at index prime[r]; row 0 is the g-integer 1.  This
+    holds no reference to the stream, so a dropped stream is freed at once, not by
+    the cycle collector."""
 
     def exponents(row: int) -> tuple[tuple[int, int], ...]:
         exps: list[tuple[int, int]] = []  # highest prime index first
         while row:
-            j, row = prime[row], parent[row]
-            if exps and exps[-1][0] == j:
-                exps[-1] = (j, exps[-1][1] + 1)
+            j, a, row = prime[row], run[row], back[row]
+            if exps and exps[-1][0] == j:  # a leaf of its node's prime, or a chain cut short
+                exps[-1] = (j, exps[-1][1] + a)
             else:
-                exps.append((j, 1))
+                exps.append((j, a))
         return tuple(reversed(exps))
 
     k = 0
@@ -151,20 +154,23 @@ def _count_leq(system: GPrimeSystem, log_bound: float, tol: float) -> int:
 
 def _table(system: GPrimeSystem, log_bound: float, tol: float, links: bool = False):
     """Log values of all exponent vectors <= the bound: the nodes in walk order, then
-    the leaves.  With `links`, also each row's parent row and prime index."""
+    the leaves.  With `links`, also how each row extends an earlier one: the row
+    before its run of one prime, the run's length and the prime's index."""
     walk = zip(*_batches(system, log_bound, tol))
     v, i, mid, hi, length, src = (np.concatenate(c) for c in walk)
     row = len(v)
     out = np.concatenate([v, np.empty(int((hi - mid).sum()))])
-    if links:  # a chain node extends the row before it, a chain's head its parent
-        parent, prime = np.arange(-1, len(out) - 1), np.zeros(len(out), np.intp)
-        parent[np.cumsum(length) - length], prime[:row] = src, i
+    if links:  # a chain's node at step s extends its head's parent by s + 1 factors
+        back, run, prime = (np.ones(len(out), np.intp) for _ in range(3))
+        back[:row], prime[:row] = np.repeat(src, length), i
+        run[:row] = np.arange(row) - np.repeat(np.cumsum(length) - length, length) + 1
+        run[: length[0]] -= 1  # the root chain heads at 1 itself, not at 1 times a prime
     for k, j in _spans(mid, hi, PIECE):
         out[row : row + len(k)] = v[k] + system._logs[j]
-        if links:
-            parent[row : row + len(k)], prime[row : row + len(k)] = k, j
+        if links:  # a leaf extends its node by one factor
+            back[row : row + len(k)], prime[row : row + len(k)] = k, j
         row += len(k)
-    return (out, parent, prime) if links else out
+    return (out, back, run, prime) if links else out
 
 
 def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:

@@ -9,7 +9,9 @@ for an arbitrary base p1 > 1.
 
 External oracles are black boxes; axiom checks are windowed and reported as
 verified-on-window only.  Exactly coincident prime-power values surface as
-EQ results (logged); the f searches treat EQ as <=.
+EQ results (logged); the f searches treat EQ as <=.  Two induced orders need
+no search: orderings_coincide brackets f_k(n) in closed form from the logs,
+with compare's own predicate, so EQ keeps its meaning there too.
 """
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     AxiomSearchError,
     IncompleteSystemError,
@@ -34,6 +38,7 @@ from .systems import GPrimeSystem, LOG_TIE_TOL, from_list
 LT, EQ, GT = -1, 0, 1
 MAX_DOUBLINGS = 64
 REPLY_TIMEOUT_S = 10.0  # how long a ProcessOracle waits for one reply
+PIECE = 4096  # traversal points orderings_coincide brackets at once, at most
 
 
 class OrderOracle:
@@ -367,12 +372,35 @@ class CoincidenceResult:
     max_scaling_deviation: float = 0.0
 
 
-def _diagonal_points(kmax: int):
-    d = 2
+def _diagonal_piece(start: int, stop: int, kmax: int):
+    """Points start..stop-1 (from 0) of the diagonal traversal (1, 1), (1, 2),
+    (2, 1), (1, 3), ... with k <= kmax, as arrays (ks, ns)."""
+    i = np.arange(start, stop)
+    tri = kmax * (kmax + 1) // 2  # diagonals t < kmax hold t + 1 points, later ones kmax
+    t = np.floor((np.sqrt(8.0 * i + 1) - 1) / 2).astype(np.int64)
+    t -= t * (t + 1) // 2 > i  # a rounded sqrt is off by one at most
+    t += (t + 1) * (t + 2) // 2 <= i
+    late = i >= tri
+    t = np.where(late, kmax + (i - tri) // kmax, t)
+    ks = np.where(late, (i - tri) % kmax, i - t * (t + 1) // 2) + 1
+    return ks, t + 2 - ks
+
+
+def _brackets(system: GPrimeSystem, ks: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """f_k(n) of the order `system` induces, at each point: the largest f with
+    fl(f * log p_1) - fl(n * log p_k) <= LOG_TIE_TOL, which is InducedOracle's
+    compare((1, f), (k, n)) <= EQ bit for bit.  Steps of one settle each f from
+    its estimate.  0 marks a point that (1, 1) already exceeds, 2**52 one whose
+    bracket reaches where f * log p_1 stops being exact: f_k must search those."""
+    l1, kb = system._logs[0], ns * system._logs[ks - 1]
+    f = np.clip(np.floor((kb + LOG_TIE_TOL) / l1), 1, 2**52).astype(np.int64)
     while True:
-        for k in range(1, min(d - 1, kmax) + 1):
-            yield (k, d - k)
-        d += 1
+        down = f * l1 - kb > LOG_TIE_TOL  # false at f = 0, as kb > 0
+        up = ((f + 1) * l1 - kb <= LOG_TIE_TOL) & (f < 2**52)
+        if not (down.any() or up.any()):
+            return f
+        f += up
+        f -= down
 
 
 def orderings_coincide(
@@ -384,47 +412,48 @@ def orderings_coincide(
     """Compare the induced orderings on the first `prefix` points of N^2.
 
     Points are traversed diagonally; at each (k, n) the bracketing integers
-    f_k(n) of both systems must agree.  When system2 is a reconstruction,
-    pass its certified alpha radii: a point then agrees whenever system1's
-    bracket lies inside the integer range the certificate allows, which is
-    all a radius-limited reconstruction can promise.  On full agreement the
-    scaling exponent lam = log p_1 / log q_1 is returned and p_k = q_k**lam
-    is verified on every index checked.
+    f_k(n) of both systems must agree.  They are taken in closed form, PIECE
+    points at a time (see _brackets); a bracket of 2**52 or more goes through
+    the search f_k.  When system2 is a reconstruction, pass its certified alpha
+    radii: a point then agrees whenever system1's bracket lies inside the
+    integer range the certificate allows, which is all a radius-limited
+    reconstruction can promise.  On full agreement the scaling exponent
+    lam = log p_1 / log q_1 is returned and p_k = q_k**lam is verified on
+    every index checked.
     """
     if prefix < 1:
         raise ParameterError("prefix must be >= 1")
     kmax = min(system1.nprimes, system2.nprimes)
     o1, o2 = InducedOracle(system1), InducedOracle(system2)
-    radii = None
+    radii = rates = None
+    log_q1 = math.log(system2.primes[0])
     if certified_radii is not None:
         radii = [float(r) for r in certified_radii]
         if len(radii) < kmax:
             raise ParameterError("need one certified radius per compared prime")
-    log_q1 = math.log(system2.primes[0])
-    checked = 0
-    for point in _diagonal_points(kmax):
-        if checked >= prefix:
-            break
-        k, n = point
-        f1 = f_k(o1, k, n)
-        checked += 1
-        if radii is None:
-            f2 = f_k(o2, k, n)
+        a_hat = [math.log(q) / log_q1 for q in system2.primes[:kmax]]
+        rates = np.array([[a - r, a + r] for a, r in zip(a_hat, radii)]).T  # f's window over n
+    for start in range(0, prefix, PIECE):
+        ks, ns = _diagonal_piece(start, min(start + PIECE, prefix), kmax)
+        f1, f2 = _brackets(system1, ks, ns), _brackets(system2, ks, ns)
+        if rates is None:
             agree = f1 == f2
         else:
-            a_hat = math.log(system2.primes[k - 1]) / log_q1
-            f_lo = math.floor(n * (a_hat - radii[k - 1]) + 1e-9)
-            f_hi = math.floor(n * (a_hat + radii[k - 1]) + 1e-9)
-            f2 = f_k(o2, k, n)
-            agree = f_lo <= f1 <= f_hi
-        if not agree:
-            boundary = (1, min(f1, f2) + 1)
-            return CoincidenceResult(
-                coincide=False,
-                lam=None,
-                witness=(point, boundary, f1, f2),
-                checked=checked,
-            )
+            window = np.floor(ns * rates[:, ks - 1] + 1e-9)  # NaN, inf: raised below
+            agree = (window[0] <= f1) & (f1 <= window[1]) & np.isfinite(window).all(axis=0)
+        exact = (np.minimum(f1, f2) > 0) & (np.maximum(f1, f2) < 2**52)
+        # the points that disagree or need the search, one at a time in traversal
+        # order: a search that raises does so only if no disagreement comes first
+        for i in np.flatnonzero(~(agree & exact)).tolist():
+            k, n = int(ks[i]), int(ns[i])
+            b1, b2 = (int(f[i]) if 0 < f[i] < 2**52 else f_k(o, k, n) for f, o in ((f1, o1), (f2, o2)))
+            if rates is None:
+                ok = b1 == b2
+            else:
+                lo, hi = (math.floor(n * r + 1e-9) for r in rates[:, k - 1].tolist())
+                ok = lo <= b1 <= hi
+            if not ok:
+                return CoincidenceResult(False, None, ((k, n), (1, min(b1, b2) + 1), b1, b2), start + i + 1)
     lam = math.log(system1.primes[0]) / log_q1
     dev = 0.0
     tol = 1e-9
@@ -432,7 +461,7 @@ def orderings_coincide(
         dev = max(dev, abs(math.log(p) - lam * math.log(q)) / (1 + abs(math.log(p))))
         if radii is not None:
             tol = max(tol, radii[i] * abs(log_q1) * abs(lam) + 1e-9)
-    return CoincidenceResult(True, lam, None, checked, dev <= tol, dev)
+    return CoincidenceResult(True, lam, None, prefix, dev <= tol, dev)
 
 
 @dataclass(frozen=True)

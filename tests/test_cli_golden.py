@@ -4,7 +4,9 @@ The hashes were recorded from the commit before the g-integer walk was
 shared between counting and zeta, the seven from --config to --s-grid
 from the commit before the CLI checked option values by argparse type, and
 the last two `gen` runs from the heap stream, before the sorted stream was
-read off the walk (Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
+read off the walk, and the `order coincide` witness from the bracket search,
+before orderings_coincide took brackets in closed form (Python 3.11.7, numpy
+2.4.6, mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -98,6 +100,9 @@ MORE_INVOCATIONS = [
      "555a02a31493a00a1357134311279ee01bd9a62ecc79691376a5cdae74c698cb"),
     ("gen --system builtin:gaussian --limit 20000 --bound 20000",
      "946395c722d84d4bc936cd2decc56f973b57ee49127ca07363b71d832b5917a7"),
+    # a printed witness: the two orders first part at (2, 200), where the brackets are 316 and 317
+    ("order coincide --system list:2,3 --limit 1e19 --system2 list:2,3.0001 --prefix 10000",
+     "1e1b294ed86efe56ecbd11a619ba00d8dec17d93ff73244dd4b726fcdbee29d8"),
 ]
 
 # `{config}` is a file holding CONFIG_TEXT; for `{out}` the written file is

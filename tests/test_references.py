@@ -3,12 +3,15 @@ replaced, kept here as references.
 
 The g-integer walk was depth-first; it is now batched over whole same-prime
 chains.  The stream was a min-heap over (log value, exponent vector); it is
-now a sorted view of one walk's table.  psi was a loop over the primes; it
-is now one array expression.  The sieve, the Gaussian system, the validation
+now a sorted view of one walk's table.  orderings_coincide searched each
+bracket f_k(n) of two induced orders by doubling and bisection; it now takes
+them in closed form.  psi was a loop over the primes; it is now one array
+expression.  The sieve, the Gaussian system, the validation
 of a system's primes and the prime-power table were loops; they are now array
 operations.  All must give the same floats, and the same errors.
 """
 import heapq
+import itertools
 import math
 import warnings
 from bisect import bisect_right
@@ -30,8 +33,9 @@ from beurling import (
     rational_primes,
     stream_gintegers,
 )
-from beurling import counting, systems
-from beurling.errors import InvalidPrimeError, MaterialisationError
+from beurling import counting, orders, systems
+from beurling.errors import InvalidPrimeError, MaterialisationError, ParameterError
+from beurling.orders import CoincidenceResult, InducedOracle, f_k
 from beurling.systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
 
 
@@ -200,7 +204,7 @@ FIXED = [
     # LOG_TIE_TOL, whose clusters anchor at their first item
     ([2.0, 3.0, 3.0 * (1 + 1.2e-12), 6.0 * (1 + 6e-13)], 100.0),
     ([1 + 1e-13, 2.0], 2.0),  # a prime so close to 1 that its powers all tie
-    ([1.001, 2.0], 4.0),  # primes near 1: chains of hundreds or thousands of steps
+    ([1.001, 2.0], 20.0),  # primes near 1: chains of hundreds or thousands of steps
     ([1.01, 1.5, 2.0], 60.0),
 ]
 
@@ -431,3 +435,164 @@ def test_prime_power_table_at_the_log_bound_of_a_power():
                 for a, b in zip(got, reference_prime_powers(system, bound)):
                     assert a.tobytes() == b.tobytes(), (primes, k, bound)
     assert ties and under  # both edges were met
+
+
+def diagonal_points(kmax):
+    d = 2
+    while True:
+        for k in range(1, min(d - 1, kmax) + 1):
+            yield (k, d - k)
+        d += 1
+
+
+def search_coincide(system1, system2, prefix, certified_radii=None):
+    """The search loop: each point's brackets by f_k on the two induced oracles
+    (bound at import, so that a test may count the library's own f_k calls)."""
+    if prefix < 1:
+        raise ParameterError("prefix must be >= 1")
+    kmax = min(system1.nprimes, system2.nprimes)
+    o1, o2 = InducedOracle(system1), InducedOracle(system2)
+    radii = None
+    if certified_radii is not None:
+        radii = [float(r) for r in certified_radii]
+        if len(radii) < kmax:
+            raise ParameterError("need one certified radius per compared prime")
+    log_q1 = math.log(system2.primes[0])
+    checked = 0
+    for point in diagonal_points(kmax):
+        if checked >= prefix:
+            break
+        k, n = point
+        f1 = f_k(o1, k, n)
+        checked += 1
+        if radii is None:
+            f2 = f_k(o2, k, n)
+            agree = f1 == f2
+        else:
+            a_hat = math.log(system2.primes[k - 1]) / log_q1
+            f_lo = math.floor(n * (a_hat - radii[k - 1]) + 1e-9)
+            f_hi = math.floor(n * (a_hat + radii[k - 1]) + 1e-9)
+            f2 = f_k(o2, k, n)
+            agree = f_lo <= f1 <= f_hi
+        if not agree:
+            witness = (point, (1, min(f1, f2) + 1), f1, f2)
+            return CoincidenceResult(False, None, witness, checked)
+    lam = math.log(system1.primes[0]) / log_q1
+    dev = 0.0
+    tol = 1e-9
+    for i, (p, q) in enumerate(zip(system1.primes[:kmax], system2.primes[:kmax])):
+        dev = max(dev, abs(math.log(p) - lam * math.log(q)) / (1 + abs(math.log(p))))
+        if radii is not None:
+            tol = max(tol, radii[i] * abs(log_q1) * abs(lam) + 1e-9)
+    return CoincidenceResult(True, lam, None, checked, dev <= tol, dev)
+
+
+def coincide_outcome(coincide, *args, **kwargs):
+    """The result, with the types of its witness's entries, or the error raised."""
+    try:
+        res = coincide(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res, [type(x) for x in res.witness[0] + res.witness[1] + res.witness[2:]] if res.witness else None
+
+
+def assert_same_coincidence(*args, **kwargs):
+    expected = coincide_outcome(search_coincide, *args, **kwargs)
+    assert coincide_outcome(orders.orderings_coincide, *args, **kwargs) == expected
+    return expected
+
+
+@st.composite
+def system_pairs(draw):
+    """Two systems: generated prime lists (repeats, exact ties, near-ties 1e-13
+    above or below another prime), perhaps with a prime in [1.0005, 1.05],
+    paired with a power copy, a copy with one prime moved, or another list."""
+    primes = draw(prime_lists())
+    primes += [p * (1 - 1e-13) for p in draw(st.lists(st.sampled_from(primes), max_size=1))]
+    primes += draw(st.lists(st.floats(1.0005, 1.05), max_size=1))
+    system = from_list(primes, 1e6)
+    kind = draw(st.sampled_from(["power", "moved", "other"]))
+    if kind == "power":
+        other = power_system(system, draw(st.floats(0.3, 3.0)))
+    elif kind == "moved":
+        at = draw(st.integers(0, len(primes) - 1))
+        eps = draw(st.sampled_from([1e-13, -1e-13, 1e-9, 1e-4]))
+        other = from_list(primes[:at] + [primes[at] * (1 + eps)] + primes[at + 1 :], 1e6)
+    else:
+        other = from_list(draw(prime_lists()), 1e6)
+    return system, other, draw(st.sampled_from([400, 60, 9, 2, 1]))
+
+
+@given(system_pairs())
+def test_coincide_is_the_search(case):
+    assert_same_coincidence(*case)
+
+
+@given(system_pairs(), st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), min_size=8, max_size=8))
+def test_coincide_with_certified_radii_is_the_search(case, radii):
+    assert_same_coincidence(*case, certified_radii=radii)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_coincide_with_a_nonfinite_radius_is_the_search(radius):
+    system = from_list([2.0, 3.0, 5.0], 1e6)
+    expected = assert_same_coincidence(system, system, 100, certified_radii=[0.1, radius, 0.1])
+    assert expected[0] in (ValueError, OverflowError)
+
+
+def test_brackets_at_2_to_the_52_are_searched(monkeypatch):
+    """f_2(40) = 24973259072662349 > 2**52 for 1 + 1e-15: those brackets go through f_k."""
+    system = from_list([1 + 1e-15, 2.0], 10)
+    assert f_k(InducedOracle(system), 2, 40) == 24973259072662349
+    searches = []
+    monkeypatch.setattr(orders, "f_k", lambda *a: searches.append(a) or f_k(*a))
+    for other in (system, power_system(system, 1.5)):
+        assert_same_coincidence(system, other, 200)
+    assert searches
+    # brackets past 2**52 that differ by about 900: (2, 1) is the first discordant point
+    moved = from_list([1 + 1e-15, 1e3 * (1 + 1e-12)], 1e4)
+    res, _ = assert_same_coincidence(from_list([1 + 1e-15, 1e3], 1e4), moved, 200)
+    assert res.witness[0] == (2, 1) and min(res.witness[2:]) > 2**52
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3, 20, 72])
+def test_diagonal_pieces_are_the_traversal(kmax):
+    points = list(itertools.islice(diagonal_points(kmax), 3000))
+    for piece in (1, 7, 4096):
+        ks, ns = map(np.concatenate, zip(*(
+            orders._diagonal_piece(start, min(start + piece, 3000), kmax) for start in range(0, 3000, piece)
+        )))
+        assert list(zip(ks.tolist(), ns.tolist())) == points
+
+
+@pytest.mark.parametrize("t", [2**20, 3 * 10**8])
+def test_diagonal_piece_far_out(t):
+    """Across the end of diagonal t, where from t = 3e8 on sqrt(8 i + 1) rounds
+    up: each point still follows the one before it."""
+    start = t * (t + 1) // 2 - 1000
+    ks, ns = (a.tolist() for a in orders._diagonal_piece(start, start + 2000, 10**9))
+    d = ks[0] + ns[0]
+    assert (d - 2) * (d - 1) // 2 + ks[0] - 1 == start
+    for (k, n), (k2, n2) in zip(zip(ks, ns), zip(ks[1:], ns[1:])):
+        assert (k2, n2) == ((k + 1, n - 1) if n > 1 else (1, k + n))
+
+
+COINCIDE_CASES = [
+    (rational_primes(72), power_system(rational_primes(72), 1.9), 3000, None),
+    (from_list([2.0, 3.0], 1e19), from_list([2.0, 3.0001], 1e19), 10**4, None),
+    (from_list([2.0, 3.0, 5.0], 2**40), from_list([2.0, 3.0, 5.0 * (1 + 1e-6)], 2**40), 500, [1e-3] * 3),
+    (from_list([2.0, 4.0, 8.0, 9.0, 27.0], 1e6), from_list([2.0, 4.0, 8.0, 9.0, 27.0], 1e6), 1000, None),
+    (from_list([1 + 1e-15, 2.0], 10), from_list([1 + 1e-15, 2.0], 10), 100, None),
+]
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+def test_coincide_piece_size_changes_no_result(monkeypatch, piece):
+    def results():
+        for s1, s2, prefix, radii in COINCIDE_CASES:
+            yield coincide_outcome(orders.orderings_coincide, s1, s2, prefix, certified_radii=radii)
+
+    expected = list(results())
+    assert expected == [coincide_outcome(search_coincide, *c[:3], certified_radii=c[3]) for c in COINCIDE_CASES]
+    monkeypatch.setattr(orders, "PIECE", piece)
+    assert list(results()) == expected
