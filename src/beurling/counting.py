@@ -2,10 +2,10 @@
 
 A vector extends by primes at indices >= its highest used one, so each
 g-integer is generated once.  N(x), the sorted value arrays and the sorted
-stream's table (each counted under one pair of caps, built, then sorted) come
-from one numpy walk, `_batches`, that sums whole same-prime chains at once and
-forms the same floats as a depth-first walk.  The Dirichlet sum keeps a
-depth-first walk of its own: the order in which it adds terms sets its last bits.
+stream's table (each counted under one pair of caps, built, then sorted) and
+the Dirichlet sum come from one numpy walk, `_batches`, that sums whole
+same-prime chains at once and forms the same floats as a depth-first walk.  The
+Dirichlet sum adds its terms in that walk's pre-order, which sets its last bits.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
@@ -13,10 +13,8 @@ and grid reports flag the boundary hit.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,29 +176,66 @@ def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.
     return _table(system, log_bound, tol)
 
 
+def _preorder(batches: list) -> np.ndarray:
+    """Each node's position, in walk order, in the depth-first walk's pre-order.
+
+    That walk visits a node, then its children by descending prime index: the
+    heads it adds to later batches, then its chain's next node.  So the nodes of
+    a chain share the end of their subtrees, and a node's heads, by ascending
+    prime, each end where the one before starts, the first where its chain's
+    next node starts.  Subtree sizes are summed from the last batch back, the
+    ends set from the first batch on.
+    """
+    i, length, src = (np.concatenate([b[k] for b in batches]) for k in (1, 4, 5))
+    rows = np.cumsum([0] + [len(b[0]) for b in batches])
+    chains = np.cumsum([0] + [len(b[4]) for b in batches])
+    bounds = list(zip(rows, rows[1:], chains, chains[1:]))
+    stop = np.cumsum(length)
+    head = stop - length
+    size = np.ones(rows[-1], dtype=np.intp)
+    for r0, r1, c0, c1 in reversed(bounds):  # the node, its heads' subtrees, the rest of its chain
+        suffix = np.append(np.cumsum(size[r0:r1][::-1])[::-1], 0)
+        size[r0:r1] = suffix[:-1] - suffix[np.repeat(stop[c0:c1] - r0, length[c0:c1])]
+        c = np.arange(max(c0, 1), c1)  # chain 0 heads at the root, which has no parent
+        np.add.at(size, src[c], size[head[c]])
+    after = np.append(size[1:], 0)  # the size of the chain's next node, if any
+    after[stop - 1] = 0
+    order = np.lexsort((i[head[1:]], src[1:]))  # chains 1.. by parent, then prime
+    parent, sizes = src[1:][order], size[head[1:]][order]
+    before = np.cumsum(sizes) - sizes  # less, below, the sizes of earlier parents' heads
+    first = np.flatnonzero(np.diff(parent, prepend=-1))
+    before -= np.repeat(before[first], np.diff(first, append=len(order)))
+    shift = np.empty_like(before)  # how far before its parent's end a head's subtree ends
+    shift[order] = before + after[parent]
+    end = np.empty(rows[-1], dtype=np.intp)
+    end[: length[0]] = size[0]  # batch 0 is the root's chain
+    for r0, r1, c0, c1 in bounds[1:]:
+        c = np.arange(c0, c1)
+        end[r0:r1] = np.repeat(end[src[c]] - shift[c - 1], length[c0:c1])
+    return end - size
+
+
 def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
-    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol, by
-    a depth-first walk: its order of terms sets the sum's last bits."""
-    if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
-        raise ParameterError(f"cannot walk to the log bound {log_bound}")
-    logs = system._log_list()
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system._logs))])
-    total = 0.0 + 0.0j
-    count = 0
-    stack = [(0, 0.0)]
-    while stack:
-        i, lv = stack.pop()
-        bt = log_bound + tol - lv
-        hi = bisect_right(logs, bt, i)
-        mid = bisect_right(logs, bt / 2, i)
-        nv = cmath.exp(-s * lv)
-        total += nv
-        count += 1
-        total += nv * (prefix[hi] - prefix[mid])
-        count += hi - mid
-        for j in range(i, mid):
-            stack.append((j, lv + logs[j]))
-    return total, count
+    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol.
+
+    The terms are added one by one in the depth-first walk's pre-order: at each
+    node n^{-s}, then n^{-s} times the sum of p^{-s} over the primes of its
+    leaves.  The products take the real formula of Python's complex product
+    (numpy's complex multiply may fuse and round differently), so the sum is
+    the depth-first walk's, bit for bit.
+    """
+    batches = list(_batches(system, log_bound, tol))
+    v, _, mid, hi = (np.concatenate([b[k] for b in batches]) for k in range(4))
+    logs = system._logs[: np.searchsorted(system._logs, log_bound + tol, "right")]
+    prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
+    nv, leaves = np.exp(-s * v), prefix[hi] - prefix[mid]
+    product = np.empty_like(nv)
+    product.real = nv.real * leaves.real - nv.imag * leaves.imag
+    product.imag = nv.real * leaves.imag + nv.imag * leaves.real
+    terms = np.zeros(2 * len(v) + 1, dtype=complex)  # from +0.0, as a Python sum starts
+    at = 2 * _preorder(batches) + 1
+    terms[at], terms[at + 1] = nv, product
+    return complex(np.cumsum(terms)[-1]), len(v) + int((hi - mid).sum())
 
 
 def _capped_bound(system: GPrimeSystem, bound: float, warn_cap: int, refuse_cap: int):
@@ -361,8 +396,12 @@ def nearest_gintegers(system: GPrimeSystem, x: float, halfwidth: float = 4.0) ->
     """
     _check_bound(system, x + halfwidth, "scan upper edge")
     hi = min(system.limit, 2 * x + halfwidth)
-    vals = g_integer_values(system, hi)
+    lb, tol = _capped_bound(system, hi, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
+    logs = _collect_logs_leq(system, lb, tol)
     lo = x - halfwidth
+    if lo > 0:  # sort and exponentiate only the window; the margin is far above exp's rounding
+        logs = logs[logs >= math.log(lo) - 1e-9]
+    vals = np.exp(np.sort(logs))
     return vals[vals >= lo]
 
 

@@ -334,6 +334,11 @@ class ReconstructionResult:
     system: GPrimeSystem
     p1: float
 
+    @property
+    def enclosures(self) -> tuple[tuple[float, float], ...]:
+        """[p1^low, p1^high] per alpha: where each reconstructed prime's true value lies."""
+        return tuple((self.p1**a.low, self.p1**a.high) for a in self.alpha)
+
 
 def reconstruct(oracle: OrderOracle, p1: float, K: int, n: int) -> ReconstructionResult:
     """Build the system p_k = p1^{alpha_k} from the order alone.

@@ -102,11 +102,6 @@ class GPrimeSystem:
         """Natural logs of the primes, same order as `primes`. Read-only."""
         return self._logs
 
-    @per_system
-    def _log_list(self) -> list[float]:
-        """`log_primes` as a Python list, built on first use, for `bisect`."""
-        return self._logs.tolist()
-
 
 @dataclass(frozen=True)
 class GInteger:

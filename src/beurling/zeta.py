@@ -17,12 +17,14 @@ power transform explicitly when they want the abscissa moved to 1.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# `_psi_profile` is not called here: bench/tracer.py reads its cache_info() as zeta._psi_profile
+# bench/tracer.py counts the calls of zeta._power_sum_leq, and reads the cache_info() of
+# zeta._psi_profile, which is not called here
 from .counting import _power_sum_leq, _prime_powers, _psi_profile, _sorted_logs_leq  # noqa: F401
 from .errors import DivergenceError, FitError, ParameterError, PoleError
 from .systems import GPrimeSystem, log_tolerance, per_system
@@ -51,6 +53,13 @@ def _require_convergent(s: complex, what: str) -> None:
         )
 
 
+def _check_phase(s: complex, X: float) -> None:
+    """X^{-s} = exp(-s log X), and n^{-s} for n <= X, have no value once s log X
+    overflows.  An infinite X is left to the checks of the sums that reach it."""
+    if math.isfinite(X) and not cmath.isfinite(s * math.log(X)):
+        raise ParameterError(f"s * log X is not finite for s = {s} and X = {X}")
+
+
 @per_system
 def _pi_envelope(system: GPrimeSystem) -> float:
     """C with pi(t) <= C t on the stored range (extrapolated beyond it)."""
@@ -69,6 +78,7 @@ def zeta_euler(system: GPrimeSystem, s: complex, prime_cutoff: float | None = No
     X = system.limit if prime_cutoff is None else float(prime_cutoff)
     if not (0 < X <= system.limit):
         raise ParameterError(f"prime cutoff {X} is outside (0, {system.limit}]")
+    _check_phase(s, X)
     logs = system.log_primes
     lx = math.log(X) + log_tolerance(X)
     sel = logs[logs <= lx]
@@ -93,6 +103,7 @@ def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | Non
     X = system.limit if integer_cutoff is None else float(integer_cutoff)
     if not (1 <= X <= system.limit):
         raise ParameterError(f"integer cutoff {X} is outside [1, {system.limit}]")
+    _check_phase(s, X)
     value, count = _power_sum_leq(system, math.log(X), log_tolerance(X), s)
     rho_hat = count / X
     sigma = s.real
@@ -108,6 +119,7 @@ def phi_dirichlet(system: GPrimeSystem, s: complex, cutoff: float | None = None)
     if X > system.limit:
         raise ParameterError(f"cutoff {X} exceeds system limit {system.limit}")
     L, W, cum = _prime_powers(system, X)
+    _check_phase(s, X)
     value = complex(np.sum(W * np.exp(-s * L)))
     sigma = s.real
     Cpsi = float(max(1.0, np.max(cum * np.exp(-L)))) if len(L) else 1.0
@@ -176,6 +188,7 @@ def phi_continued(system: GPrimeSystem, s: complex, x_max: float | None = None) 
     if X > system.limit:
         raise ParameterError(f"x_max {X} exceeds system limit {system.limit}")
     L, _, cum = _prime_powers(system, X)
+    _check_phase(s, X)
     psi_X = float(cum[-1]) if len(cum) else 0.0
     series = complex(np.sum(np.diff(np.concatenate([[0.0], cum])) * np.exp(-s * L)))
     value = series + s / (s - 1) * X ** (1 - s) - psi_X * X ** (-s)
@@ -205,6 +218,7 @@ def zeta_mellin_identity_check(system: GPrimeSystem, s: complex, x_max: float) -
     _require_convergent(s, "the Mellin identity")
     if not (1 <= x_max <= system.limit):
         raise ParameterError(f"x_max {x_max} is outside [1, {system.limit}]")
+    _check_phase(s, x_max)
     logs = _sorted_logs_leq(system, x_max)
     # segment [v_k, v_{k+1}) carries N = k+1; the last runs to X
     lo = np.exp(-s * logs)

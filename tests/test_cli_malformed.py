@@ -148,3 +148,18 @@ def test_zero_is_a_value_not_an_absent_option(argv, err, in_workdir, capsys):
     assert main(shlex.split(argv)) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == err()
+
+
+@pytest.mark.parametrize("method", ["euler", "dirichlet", "mellin", "continued", "phi"])
+def test_phase_overflow_is_a_parameter_error(method, in_workdir, capsys):
+    """At |Im s| = 1e308, s log X overflows: an error line, not a traceback or a nan."""
+    base = f"zeta --system builtin:rationals --limit 100 --method {method} --s"
+    for s in ("2+1e308i", "2-1e308i"):
+        assert main(shlex.split(f"{base} {s}")) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        z = complex(s.replace("i", "j"))
+        assert out.err == f"error: s * log X is not finite for s = {z} and X = 100.0\n"
+    assert main(shlex.split(f"{base} 2+1e307i")) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "nan" not in out.out

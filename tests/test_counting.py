@@ -28,7 +28,7 @@ from beurling.counting import (
 )
 from beurling.errors import IncompleteSystemError, ParameterError
 from beurling.systems import log_tolerance
-from beurling.zeta import zeta_dirichlet
+from beurling.zeta import phi_dirichlet
 
 
 def brute_force_values(primes, bound):
@@ -334,7 +334,7 @@ def test_walked_system_equal_and_hash_equal():
     a = from_list([2, 2, 3.5], limit=100)
     b = from_list([2, 2, 3.5], limit=100)
     assert a == b and hash(a) == hash(b)
-    zeta_dirichlet(a, 2.0)  # fills a's derived data; b's stays empty
+    phi_dirichlet(a, 2.0)  # fills a's derived data (its prime-power table); b's stays empty
     assert a._derived and not b._derived
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)

@@ -186,6 +186,17 @@ def test_reconstruct_alpha_certificates():
         assert interval.radius <= 1.0 / 1000
 
 
+def test_reconstruct_enclosures_hold_the_true_primes():
+    source = rational_primes(72)  # 2 .. 71
+    rec = reconstruct(induced_oracle(source), 2.0, 20, 10**4)
+    assert len(rec.enclosures) == 20
+    for (low, high), p, a in zip(rec.enclosures, source.primes, rec.alpha):
+        assert low <= p <= high
+        assert low <= 2.0**a.value <= high
+    with pytest.raises(AttributeError):
+        rec.enclosures = ()
+
+
 def test_reconstruct_roundtrip_ordering():
     source = from_list([2, 3, 5], limit=2**40)
     rec = reconstruct(induced_oracle(source), 2.0, 3, 10**4)

@@ -1,21 +1,26 @@
-"""The walk, the sorted stream, psi and the system builds against the code they
-replaced, kept here as references.
+"""The walk, the Dirichlet sum, the sorted stream, psi and the system builds
+against the code they replaced, kept here as references.
 
 The g-integer walk was depth-first; it is now batched over whole same-prime
-chains.  The stream was a min-heap over (log value, exponent vector); it is
-now a sorted view of one walk's table.  orderings_coincide searched each
-bracket f_k(n) of two induced orders by doubling and bisection; it now takes
-them in closed form.  psi was a loop over the primes; it is now one array
-expression.  The sieve, the Gaussian system, the validation
-of a system's primes and the prime-power table were loops; they are now array
+chains.  The Dirichlet sum had a depth-first walk of its own; it now reads the
+batched walk and adds its terms in the depth-first walk's order.  The stream
+was a min-heap over (log value, exponent vector); it is now a sorted view of
+one walk's table.  The gap scan's window was cut from all sorted g-integer
+values; it now sorts only the logs near the window.  orderings_coincide
+searched each bracket f_k(n) of two induced orders by doubling and bisection;
+it now takes them in closed form.  psi was a loop over the primes; it is now
+one array expression.  The sieve, the Gaussian system, the validation of a
+system's primes and the prime-power table were loops; they are now array
 operations.  All must give the same floats, and the same errors.
 """
+import cmath
 import heapq
 import itertools
 import math
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
@@ -62,6 +67,31 @@ def dfs_collect(system, log_bound, tol):
     logs = system.log_primes
     out = [lv + logs[i:hi] for lv, i, _, hi in dfs_walk(system, log_bound, tol)]
     return np.concatenate([np.array([0.0])] + out)
+
+
+def dfs_power_sum(system, log_bound, tol, s):
+    """The depth-first Dirichlet sum: (sum of n^{-s}, count), adding at each node
+    n^{-s}, then n^{-s} times the sum of p^{-s} over its leaves' primes."""
+    if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
+        raise ParameterError(f"cannot walk to the log bound {log_bound}")
+    logs = system.log_primes.tolist()
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system.log_primes))])
+    total = 0.0 + 0.0j
+    count = 0
+    stack = [(0, 0.0)]
+    while stack:
+        i, lv = stack.pop()
+        bt = log_bound + tol - lv
+        hi = bisect_right(logs, bt, i)
+        mid = bisect_right(logs, bt / 2, i)
+        nv = cmath.exp(-s * lv)
+        total += nv
+        count += 1
+        total += nv * (prefix[hi] - prefix[mid])
+        count += hi - mid
+        for j in range(i, mid):
+            stack.append((j, lv + logs[j]))
+    return total, count
 
 
 def heap_stream(system, bound):
@@ -187,10 +217,95 @@ def test_piece_size_changes_no_result(monkeypatch, piece):
             lb, tol = math.log(bound), log_tolerance(bound)
             logs = np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes()
             yield counting._count_leq(system, lb, tol), logs, items(stream_gintegers(system, bound))
+            for s in (2.0 + 0j, 1.5 - 300.0j):
+                value, count = counting._power_sum_leq(system, lb, tol, s)
+                yield value.real.hex(), value.imag.hex(), count
 
     expected = list(results())
     monkeypatch.setattr(counting, "PIECE", piece)
     assert list(results()) == expected
+
+
+def assert_same_power_sum(system, log_bound, tol, s):
+    value, count = counting._power_sum_leq(system, log_bound, tol, s)
+    want, want_count = dfs_power_sum(system, log_bound, tol, s)
+    assert value.real == want.real and value.imag == want.imag and count == want_count
+    assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+S_POINTS = st.builds(complex, st.floats(1.0, 4.0, exclude_min=True), st.floats(-1e3, 1e3))
+
+
+@given(systems_and_bounds(near_one=True), S_POINTS, st.floats(0.0, 1.0))
+def test_power_sum_is_the_depth_first_sum(case, s, u):
+    system, bound = case
+    first, last = system.log_primes[[0, -1]].tolist()
+    cutoff = 1 + (bound - 1) * u
+    for lb, tol in [
+        (math.log(bound), log_tolerance(bound)),
+        (math.log(cutoff), log_tolerance(cutoff)),
+        (last, 0.0),  # a child on the bound
+        (2 * first, 0.0),  # a chain on its edge
+    ]:
+        assert_same_power_sum(system, lb, tol, s)
+
+
+@given(systems_and_bounds(), S_POINTS)
+def test_power_sum_piece_size_changes_no_bit(case, s):
+    """Pieces of 1 and 7 cut chains and split a node's heads over several batches."""
+    system, bound = case
+    for piece in (1, 7):
+        with mock.patch.object(counting, "PIECE", piece):
+            assert_same_power_sum(system, math.log(bound), log_tolerance(bound), s)
+
+
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_power_sum_is_the_depth_first_sum_on_builtin_systems(make):
+    system = make(10**6)
+    for s in [2.0, 1.5 + 14.134725j, 3.0 - 1000.0j, 1.0001 + 0.5j, 4.0 + 1e-300j]:
+        for bound in (1e6, 31622.5):
+            assert_same_power_sum(system, math.log(bound), log_tolerance(bound), complex(s))
+
+
+def test_power_sum_starts_from_positive_zero():
+    """Below 4 the root is the only node.  At a real s each of its terms has the
+    imaginary part -0.0, and a sum that starts from 0j ends at +0.0."""
+    system = rational_primes(100)
+    assert_same_power_sum(system, math.log(3.5), log_tolerance(3.5), 2.0 + 0j)
+    assert math.copysign(1.0, dfs_power_sum(system, math.log(3.5), 0.0, 2.0 + 0j)[0].imag) == 1.0
+
+
+def test_power_sum_under_an_infinite_horizon():
+    system = from_list([2.0, 3.0], math.inf)
+    for walk in (counting._power_sum_leq, dfs_power_sum):
+        with pytest.raises(ParameterError, match=r"^cannot walk to the log bound inf$"):
+            walk(system, math.inf, 0.0, 2 + 1j)
+
+
+def window_of_all_values(system, x, halfwidth):
+    """The gap scan's window, cut from every sorted g-integer value up to 2x + halfwidth."""
+    vals = g_integer_values(system, min(system.limit, 2 * x + halfwidth))
+    return vals[vals >= x - halfwidth]
+
+
+@given(systems_and_bounds(), st.floats(0.0, 1.0), st.sampled_from([3.0, 4.0]))
+def test_scan_window_is_the_cut_of_all_values(case, u, halfwidth):
+    system, bound = case
+    top = system.limit - halfwidth
+    if top < 1:
+        return
+    # x anywhere up to the scan's edge, or x - halfwidth on a g-integer value
+    for x in {1 + (top - 1) * u, min(top, bound + halfwidth)}:
+        got = counting.nearest_gintegers(system, x, halfwidth)
+        assert got.tobytes() == window_of_all_values(system, x, halfwidth).tobytes()
+
+
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_scan_window_is_the_cut_of_all_values_on_builtin_systems(make):
+    system = make(10**6)
+    for x in (2.0, 4.5, 1000.5, 1.7e5, 4.99e5):
+        got = counting.nearest_gintegers(system, x)
+        assert got.tobytes() == window_of_all_values(system, x, 4.0).tobytes()
 
 
 FIXED = [
