@@ -1,11 +1,16 @@
 """Enumeration of the multiplicative semigroup and its counting functions.
 
 A vector extends by primes at indices >= its highest used one, so each
-g-integer is generated once.  N(x), the sorted value arrays and the sorted
-stream's table (each counted under one pair of caps, built, then sorted) and
-the Dirichlet sum come from one numpy walk, `_batches`, that sums whole
-same-prime chains at once and forms the same floats as a depth-first walk.  The
-Dirichlet sum adds its terms in that walk's pre-order, which sets its last bits.
+g-integer is generated once.  One numpy walk, `_batches`, sums whole same-prime
+chains at once and forms the same floats as a depth-first walk.  The g-integers
+it extends, its nodes, are far fewer than the g-integers (9,108 of the 1e6
+g-integers up to 1e6 on the rationals), so each system keeps the nodes of one
+walk (`_nodes`), and N(x), the Dirichlet sum and the gap scan's window read the
+nodes of any lower bound from them with a few `searchsorted` passes; above
+NODE_CAP nodes they walk per call.  The sorted value arrays and the sorted
+stream's table (each counted under one pair of caps, built, then sorted) walk
+per call.  The Dirichlet sum adds its terms in the depth-first walk's
+pre-order, which sets its last bits.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
@@ -13,6 +18,7 @@ and grid reports flag the boundary hit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +35,8 @@ from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance, per_sys
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
 PIECE = 2**16  # elements a walk expands at once, at most: bounds its working memory
+NODE_CAP = 2**18  # nodes a system keeps, at most: above it, each call walks
+STREAM_PIECE = 512  # sorted rows a stream turns into items at once, at least
 
 
 def _check_bound(system: GPrimeSystem, bound: float, what: str = "bound") -> None:
@@ -45,7 +53,9 @@ class GIntegerStream:
 
     Emission order is nondecreasing in log value; numerically tied values are
     emitted in lexicographic order of their exponent vectors.  The whole
-    table is counted (under the caps), built and sorted on construction.
+    table is counted (under the caps), built and sorted on construction; the
+    items are built from it STREAM_PIECE sorted rows at a time, each from the
+    exponent tuple of the row it extends.
     """
 
     def __init__(self, source: GPrimeSystem, bound: float):
@@ -53,7 +63,7 @@ class GIntegerStream:
         self.source, self.bound = source, bound
         table, *links = _table(source, lb, tol, links=True)
         order = np.argsort(table, kind="stable")
-        self._items = _sorted_items(*map(memoryview, (table[order], order, *links)))
+        self._items = _sorted_items(table[order], order, *links)
 
     def __iter__(self):
         return self
@@ -63,34 +73,50 @@ class GIntegerStream:
 
 
 def _sorted_items(
-    logs: memoryview, rows: memoryview, back: memoryview, run: memoryview, prime: memoryview
+    logs: np.ndarray, rows: np.ndarray, back: np.ndarray, run: np.ndarray, prime: np.ndarray
 ):
     """The stream's GIntegers from its sorted rows: row r extends row back[r] by
     run[r] factors of the prime at index prime[r]; row 0 is the g-integer 1.  This
     holds no reference to the stream, so a dropped stream is freed at once, not by
     the cycle collector."""
+    most = int(back.max())  # the rows that others extend are nodes, which come first
+    back, run, prime = map(memoryview, (back, run, prime))
+    known = {0: ()}  # exponent tuples of node rows
 
     def exponents(row: int) -> tuple[tuple[int, int], ...]:
-        exps: list[tuple[int, int]] = []  # highest prime index first
-        while row:
-            j, a, row = prime[row], run[row], back[row]
+        path = []  # the rows from `row` back to one whose tuple is known
+        while row not in known:
+            path.append(row)
+            row = back[row]
+        exps = known[row]
+        for row in reversed(path):
+            j, a = prime[row], run[row]
             if exps and exps[-1][0] == j:  # a leaf of its node's prime, or a chain cut short
-                exps[-1] = (j, exps[-1][1] + a)
+                exps = (*exps[:-1], (j, exps[-1][1] + a))
             else:
-                exps.append((j, a))
-        return tuple(reversed(exps))
+                exps = (*exps, (j, a))
+            if row <= most:
+                known[row] = exps
+        return exps
 
-    k = 0
-    while k < len(logs):
-        end = k + 1  # a tie cluster: items within LOG_TIE_TOL of its first
-        while end < len(logs) and logs[end] - logs[k] <= LOG_TIE_TOL:
-            end += 1
-        if end == k + 1:
-            yield GInteger(exponents(rows[k]), logs[k])
-        else:  # in lexicographic order of exponent vectors
-            tied = [GInteger(exponents(r), v) for r, v in zip(rows[k:end], logs[k:end])]
-            yield from sorted(tied, key=lambda g: g.exponents)
-        k = end
+    start = 0
+    while start < len(logs):
+        stop = min(start + STREAM_PIECE, len(logs))
+        while stop < len(logs) and logs[stop] - logs[stop - 1] <= LOG_TIE_TOL:
+            stop += 1  # a piece ends where no tie cluster can go on
+        values, piece = logs[start:stop].tolist(), rows[start:stop].tolist()
+        k = 0
+        while k < len(values):
+            end = k + 1  # a tie cluster: items within LOG_TIE_TOL of its first
+            while end < len(values) and values[end] - values[k] <= LOG_TIE_TOL:
+                end += 1
+            if end == k + 1:
+                yield GInteger(exponents(piece[k]), values[k])
+            else:  # in lexicographic order of exponent vectors
+                tied = [GInteger(exponents(r), v) for r, v in zip(piece[k:end], values[k:end])]
+                yield from sorted(tied, key=lambda g: g.exponents)
+            k = end
+        start = stop
 
 
 def stream_gintegers(system: GPrimeSystem, bound: float) -> GIntegerStream:
@@ -111,6 +137,21 @@ def _spans(first: np.ndarray, stop: np.ndarray, piece: int):
         yield k, np.arange(start, end) - (starts - first)[k]
 
 
+def _check_log_bound(log_bound: float) -> None:
+    if not math.isfinite(log_bound):  # NaN passes every comparison; inf never ends
+        raise ParameterError(f"cannot walk to the log bound {log_bound}")
+
+
+def _leaf_range(logs: np.ndarray, top: float, v: np.ndarray, i: np.ndarray):
+    """(mid, hi) of the nodes (v, i) in the walk to `top`: their children extend them
+    by the primes at indices i..hi-1, and those from mid on are leaves.  The walk
+    and the kept nodes both take these expressions, so their counts and the
+    Dirichlet sum's bits agree."""
+    hi = np.maximum(np.searchsorted(logs, top - v, "right"), i)
+    mid = np.maximum(np.searchsorted(logs, (top - v) / 2, "right"), i)
+    return mid, hi
+
+
 def _batches(system: GPrimeSystem, log_bound: float, tol: float):
     """The walk over the exponent vectors with log value <= log_bound + tol.
 
@@ -124,8 +165,7 @@ def _batches(system: GPrimeSystem, log_bound: float, tol: float):
     batch the nodes' (v, i, mid, hi), chain by chain, each chain's length and
     each head's parent's row.
     """
-    if not math.isfinite(log_bound):  # NaN passes every comparison; inf never ends
-        raise ParameterError(f"cannot walk to the log bound {log_bound}")
+    _check_log_bound(log_bound)
     logs, top = system._logs, log_bound + tol
     pending, row = [(np.zeros(1), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))], 0
     while pending:
@@ -134,8 +174,7 @@ def _batches(system: GPrimeSystem, log_bound: float, tol: float):
         chain = np.cumsum(np.vstack([v, np.broadcast_to(step, (rows - 1, len(v)))]), axis=0)
         length = np.minimum(1 + (step <= (top - chain) / 2).sum(axis=0), rows)
         v, i = chain.T[np.arange(rows) < length[:, None]], np.repeat(i, length)
-        hi = np.maximum(np.searchsorted(logs, top - v, "right"), i)
-        mid = np.maximum(np.searchsorted(logs, (top - v) / 2, "right"), i)
+        mid, hi = _leaf_range(logs, top, v, i)
         yield v, i, mid, hi, length, src
         first = i + 1
         first[np.cumsum(length) - 1] -= 1  # a chain cut short at `rows` goes on as a head
@@ -144,10 +183,109 @@ def _batches(system: GPrimeSystem, log_bound: float, tol: float):
         row += len(v)
 
 
-def _count_leq(system: GPrimeSystem, log_bound: float, tol: float) -> int:
-    """Number of exponent vectors with log value <= log_bound + tol."""
-    batches = _batches(system, log_bound, tol)
-    return sum(len(v) + int((hi - mid).sum()) for v, _, mid, hi, *_ in batches)
+class _Nodes:
+    """The nodes of the walk to the log value `top`, in walk order: each one's log
+    value v, prime index i, parent row (the node before it on its chain, or for a
+    chain's head the node it extends) and the parent's v, vpar (-inf at the root).
+
+    A node is in the walk to a lower top t exactly when logs[i] <= (t - vpar) / 2,
+    `_batches`' own test for a chain's next node and for a head.  So the nodes at t
+    are closed under parents: a node's index is at least its parent's, and the
+    parent has v_p = fl(v_pp + logs[i_p]) >= v_pp; rounding is monotone and halving
+    exact, so logs[i_p] <= logs[i] <= (t - v_p) / 2 <= (t - v_pp) / 2.  Every node
+    at t has the same v as in the walk to t, and its children there are a prefix,
+    by index, of its children here.
+    """
+
+    def __init__(self, top: float, batches: list, logs: np.ndarray):
+        self.top = top
+        cols = list(zip(*batches))  # v, i, mid, hi, length, src per batch
+        self.v, self.i, length, src = (np.concatenate(cols[k]) for k in (0, 1, 4, 5))
+        self._links = (length, src, *(np.cumsum([0, *map(len, cols[k])]) for k in (0, 4)))
+        self.parent = np.arange(len(self.v)) - 1
+        self.parent[np.cumsum(length) - length] = src
+        self.vpar = self.v[self.parent]
+        self.vpar[0] = -np.inf  # the root is in every walk
+        self.step = logs[self.i]
+
+    @functools.cached_property
+    def preorder(self) -> np.ndarray:
+        """The rows in the depth-first walk's pre-order.  Restricted to the nodes at a
+        lower top, it is that walk's pre-order: a node's children there are a prefix
+        of its children here, visited in the same order."""
+        rows = np.empty_like(self.i)
+        rows[_preorder(self.i, *self._links)] = np.arange(len(rows))
+        return rows
+
+    def at(self, logs: np.ndarray, top: float, preorder: bool = False):
+        """(v, i, mid, hi) of the nodes in the walk to top <= self.top, in walk order
+        or in the depth-first pre-order."""
+        keep = self.step <= (top - self.vpar) / 2
+        rows = self.preorder[keep[self.preorder]] if preorder else keep
+        v, i = self.v[rows], self.i[rows]
+        return v, i, *_leaf_range(logs, top, v, i)
+
+
+@per_system
+def _node_cell(system: GPrimeSystem) -> list:
+    """A cell holding (nodes, over): the `_Nodes` walked so far, if any, and the
+    least top walked that has more than NODE_CAP nodes.  `_nodes` grows it; threads
+    that grow it together each walk their own, and one of them is kept."""
+    return [(None, math.inf)]
+
+
+def _nodes(system: GPrimeSystem, log_bound: float, tol: float) -> _Nodes | None:
+    """The system's kept nodes for a walk to log_bound + tol, or None above NODE_CAP.
+
+    A top past the kept one is walked to min(horizon, bound**2), as `_prime_powers`
+    grows its table: twice the top in the log domain, so from a first bound b > 1
+    a top B takes at most 1 + log2(log B / log b) walks.  A walk stops once it
+    passes NODE_CAP, and no top at or above one that passed it is walked again.
+    """
+    _check_log_bound(log_bound)
+    top = log_bound + tol
+    cell = _node_cell(system)
+    nodes, over = cell[0]
+    if nodes is not None and top <= nodes.top:
+        return nodes
+    horizon = math.log(system.limit)
+    horizon += LOG_TIE_TOL * max(1.0, horizon)  # log_tolerance(limit), with no systems call
+    top = max(top, min(horizon, 2 * top))
+    if top >= over:
+        return None
+    batches, n = [], 0
+    for batch in _batches(system, top, 0.0):
+        n += len(batch[0])
+        if n > NODE_CAP:
+            cell[0] = (nodes, top)
+            return None
+        batches.append(batch)
+    cell[0] = (_Nodes(top, batches, system._logs), over)
+    return cell[0][0]
+
+
+def _nodes_or_walk(system: GPrimeSystem, log_bound: float, tol: float) -> _Nodes:
+    """The kept nodes, or above NODE_CAP the nodes of a walk to this bound alone."""
+    nodes = _nodes(system, log_bound, tol)
+    return nodes or _Nodes(log_bound + tol, list(_batches(system, log_bound, tol)), system._logs)
+
+
+def _count_leq(system: GPrimeSystem, log_bound: float, tol: float, stop: int | None = None) -> int:
+    """Number of exponent vectors with log value <= log_bound + tol.
+
+    Above NODE_CAP the count walks, and with `stop` it ends once it passes `stop`:
+    a count above `stop` may then be a lower bound.
+    """
+    nodes = _nodes(system, log_bound, tol)
+    if nodes is not None:
+        v, _, mid, hi = nodes.at(system._logs, log_bound + tol)
+        return len(v) + int((hi - mid).sum())
+    n = 0
+    for v, _, mid, hi, *_ in _batches(system, log_bound, tol):
+        n += len(v) + int((hi - mid).sum())
+        if stop is not None and n > stop:
+            break
+    return n
 
 
 def _table(system: GPrimeSystem, log_bound: float, tol: float, links: bool = False):
@@ -176,7 +314,7 @@ def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.
     return _table(system, log_bound, tol)
 
 
-def _preorder(batches: list) -> np.ndarray:
+def _preorder(i, length, src, rows, chains) -> np.ndarray:
     """Each node's position, in walk order, in the depth-first walk's pre-order.
 
     That walk visits a node, then its children by descending prime index: the
@@ -184,11 +322,9 @@ def _preorder(batches: list) -> np.ndarray:
     a chain share the end of their subtrees, and a node's heads, by ascending
     prime, each end where the one before starts, the first where its chain's
     next node starts.  Subtree sizes are summed from the last batch back, the
-    ends set from the first batch on.
+    ends set from the first batch on.  `rows` and `chains` are where each batch's
+    nodes and chains start, and end.
     """
-    i, length, src = (np.concatenate([b[k] for b in batches]) for k in (1, 4, 5))
-    rows = np.cumsum([0] + [len(b[0]) for b in batches])
-    chains = np.cumsum([0] + [len(b[4]) for b in batches])
     bounds = list(zip(rows, rows[1:], chains, chains[1:]))
     stop = np.cumsum(length)
     head = stop - length
@@ -224,27 +360,30 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     (numpy's complex multiply may fuse and round differently), so the sum is
     the depth-first walk's, bit for bit.
     """
-    batches = list(_batches(system, log_bound, tol))
-    v, _, mid, hi = (np.concatenate([b[k] for b in batches]) for k in range(4))
-    logs = system._logs[: np.searchsorted(system._logs, log_bound + tol, "right")]
+    top = log_bound + tol
+    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(system._logs, top, preorder=True)
+    logs = system._logs[: np.searchsorted(system._logs, top, "right")]
     prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
     nv, leaves = np.exp(-s * v), prefix[hi] - prefix[mid]
     product = np.empty_like(nv)
     product.real = nv.real * leaves.real - nv.imag * leaves.imag
     product.imag = nv.real * leaves.imag + nv.imag * leaves.real
     terms = np.zeros(2 * len(v) + 1, dtype=complex)  # from +0.0, as a Python sum starts
-    at = 2 * _preorder(batches) + 1
-    terms[at], terms[at + 1] = nv, product
+    terms[1::2], terms[2::2] = nv, product
     return complex(np.cumsum(terms)[-1]), len(v) + int((hi - mid).sum())
 
 
 def _capped_bound(system: GPrimeSystem, bound: float, warn_cap: int, refuse_cap: int):
-    """(log bound, tol) to walk to `bound`, once the bound and its count pass the caps."""
+    """(log bound, tol) to walk to `bound`, once the bound and its count pass the caps.
+
+    The count stops once it passes `refuse_cap`, so a refusal takes time that grows
+    with the cap, not with the set, and the count it reports is a lower bound.
+    """
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
     _check_bound(system, bound)
     lb, tol = math.log(bound), log_tolerance(bound)
-    n = _count_leq(system, lb, tol)
+    n = _count_leq(system, lb, tol, refuse_cap)
     if n > refuse_cap:
         raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
     if n > warn_cap:
@@ -389,20 +528,29 @@ class GapWindow:
 
 
 def nearest_gintegers(system: GPrimeSystem, x: float, halfwidth: float = 4.0) -> np.ndarray:
-    """Sorted g-integer values from x - halfwidth up to min(limit, 2x + halfwidth).
+    """Sorted g-integer values in [x - halfwidth, x + halfwidth], then the least one
+    above x + halfwidth, if there is one up to min(limit, 2x + halfwidth).
 
-    The extra headroom above x + halfwidth lets callers report the nearest
-    neighbour above even when it sits outside the scan window proper.
+    The values up to min(limit, 2x + halfwidth) are counted under the
+    materialisation caps.  Each node gives its own value and its leaves from the
+    window's lower edge through its first leaf past the upper edge, chosen by log
+    with a margin far above exp's rounding; the window is cut exactly after exp, so
+    it holds the floats that every value up to that range, sorted, holds there.
     """
     _check_bound(system, x + halfwidth, "scan upper edge")
-    hi = min(system.limit, 2 * x + halfwidth)
-    lb, tol = _capped_bound(system, hi, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
-    logs = _collect_logs_leq(system, lb, tol)
-    lo = x - halfwidth
-    if lo > 0:  # sort and exponentiate only the window; the margin is far above exp's rounding
-        logs = logs[logs >= math.log(lo) - 1e-9]
-    vals = np.exp(np.sort(logs))
-    return vals[vals >= lo]
+    far = min(system.limit, 2 * x + halfwidth)
+    lb, tol = _capped_bound(system, far, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
+    logs = system._logs
+    v, _, mid, hi = _nodes_or_walk(system, lb, tol).at(logs, lb + tol)
+    lo, up = x - halfwidth, x + halfwidth
+    a = math.log(lo) - 1e-9 if lo > 0 else -math.inf
+    b = math.log(up) + 1e-9
+    first = np.clip(np.searchsorted(logs, a - v), mid, hi)
+    stop = np.clip(np.searchsorted(logs, b - v, "right") + 1, first, hi)
+    leaves = [v[k] + logs[j] for k, j in _spans(first, stop, PIECE)]
+    vals = np.exp(np.sort(np.concatenate([v[v >= a], *leaves])))
+    vals = vals[vals >= lo]
+    return vals[: np.searchsorted(vals, up, "right") + 1]
 
 
 def gap_window(system: GPrimeSystem, x: float, radius_rule=None) -> GapWindow:

@@ -61,6 +61,11 @@ class Kernel:
         return float(val)
 
 
+def _gauss(u):
+    with np.errstate(over="ignore"):  # u * u past the float range: exp rightly gives 0
+        return np.exp(-math.pi * u * u)
+
+
 KERNELS = {
     "exp": Kernel(
         "exp",
@@ -71,7 +76,7 @@ KERNELS = {
     ),
     "gauss": Kernel(
         "gauss",
-        lambda u: np.exp(-math.pi * u * u),
+        _gauss,
         alpha=0.0,
         beta=math.inf,
         tail_integral=lambda lo, scale: math.erfc(math.sqrt(math.pi) * lo * scale)
@@ -340,7 +345,10 @@ def _continued_mellin(
         probe = F(xmin)
         mag = abs(complex(probe.value) - expansion.leading_sum(xmin)) + probe.tail_bound
         if rem_lam is None:
-            bound_below = mag * xmin**s.real  # super-polynomial decay below xmin
+            try:
+                bound_below = mag * xmin**s.real  # super-polynomial decay below xmin
+            except OverflowError:  # as Perron refuses an x^c that overflows
+                raise ParameterError(f"x^s overflows for s = {s} at x = {xmin}") from None
         else:
             gap = s.real - complex(rem_lam).real
             C = mag / (xmin ** (-complex(rem_lam).real) * max(1.0, abs(math.log(xmin)) ** expansion.remainder_log_power))
@@ -522,18 +530,18 @@ def check_fe_mellin(
         if near:
             skipped.append((s, f"within {pole_skip:g} of pole at {near[0]}"))
             continue
-        psi2 = _continued_mellin(
-            lambda x: spec2.F(x, tail_tol=target * 1e-3),
-            spec2.expansion,
-            s,
-            spec2.kernel.beta,
-            target,
-        )
         psi1 = _continued_mellin(
             lambda x: spec1.F(x, tail_tol=target * 1e-3),
             spec1.expansion,
             1 - s,
             spec1.kernel.beta,
+            target,
+        )
+        psi2 = _continued_mellin(
+            lambda x: spec2.F(x, tail_tol=target * 1e-3),
+            spec2.expansion,
+            s,
+            spec2.kernel.beta,
             target,
         )
         rows.append((s, psi1.value, psi2.value, abs(psi1.value - psi2.value)))

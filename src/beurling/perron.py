@@ -29,6 +29,8 @@ from .counting import nearest_gintegers, prime_power_table, psi as psi_exact
 from .errors import IncompleteSystemError, ParameterError, UnstablePointError
 from .systems import GPrimeSystem
 
+MAX_NODES = 10**7  # quadrature nodes of one contour, at most: bounds its memory
+
 
 @dataclass(frozen=True)
 class PerronParams:
@@ -52,10 +54,18 @@ class PerronParams:
             object.__setattr__(self, "c", 1.0 + 1.0 / math.log(self.x))
         if not (1 < self.c < math.inf):
             raise ParameterError(f"contour abscissa must satisfy 1 < c < inf, got {self.c}")
+        try:
+            math.pow(self.x, self.c)  # raises for numpy floats too, where ** gives inf
+        except OverflowError:  # x^s on the contour would be inf, and the integral nan
+            raise ParameterError(f"x^c overflows for x = {self.x} and c = {self.c}") from None
         if self.step is None:
             object.__setattr__(self, "step", math.pi / (8.0 * math.log(self.x)))
         if not (self.step > 0):
             raise ParameterError("quadrature step must be positive")
+        if not (2 * self.T / self.step <= MAX_NODES):
+            raise ParameterError(
+                f"T = {self.T} at step {self.step:g} needs more than {MAX_NODES} quadrature nodes"
+            )
 
 
 @dataclass(frozen=True)

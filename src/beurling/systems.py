@@ -26,6 +26,7 @@ from .errors import (
 # Two log-values closer than this are treated as numerically tied; tied
 # g-integers are ordered lexicographically by exponent vector.
 LOG_TIE_TOL = 1e-12
+SIEVE_CAP = 10**9  # the largest limit a sieved system takes: a byte per integer, a float per prime
 
 
 def log_tolerance(x: float) -> float:
@@ -179,6 +180,8 @@ def _sieve(n: int) -> np.ndarray:
 def _check_sieve_limit(limit: float) -> None:
     if not math.isfinite(limit):
         raise ParameterError(f"a sieved system needs a finite limit, got {limit}")
+    if limit > SIEVE_CAP:
+        raise ParameterError(f"a sieved system's limit must be at most {SIEVE_CAP:g}, got {limit}")
 
 
 def rational_primes(limit: float) -> GPrimeSystem:

@@ -163,3 +163,33 @@ def test_phase_overflow_is_a_parameter_error(method, in_workdir, capsys):
     assert main(shlex.split(f"{base} 2+1e307i")) == 0
     out = capsys.readouterr()
     assert out.err == "" and "nan" not in out.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the sieve's mask would take 931 GiB, or more elements than numpy allows
+        "count --system builtin:rationals --limit 1e12 --grid 1:10:1",
+        "count --system builtin:rationals --limit 1e300 --grid 1:10:1",
+        # a grid of 2T/step nodes, and an x^c that overflows into a nan budget
+        "perron --system builtin:rationals --limit 1e4 --x 100.5 --T 1e300",
+        "perron --system builtin:rationals --limit 1e4 --x 100.5 --T 10 --c 1e300",
+        # x^(1 - s) at the Mellin walk's first x
+        "fe-check --pair theta --s-grid 1e300",
+    ],
+)
+def test_inputs_past_the_machine_are_refused(argv, in_workdir, alarm, capsys):
+    """Each is refused with one error line before its work starts."""
+    assert main(shlex.split(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")
+
+
+def test_a_kernel_that_underflows_to_zero_warns_nothing(in_workdir, capsys):
+    """At x = 1e-300 the gauss kernel's argument squares past the float range; its
+    value is rightly 0, and the run flags the row, with nothing on stderr."""
+    assert main(shlex.split("fe-check --pair theta --x-min 1e-300")) == 0
+    out = capsys.readouterr()
+    row = next(line for line in out.out.splitlines() if line.startswith("1e-300,"))
+    assert out.err == "" and row.endswith(",true")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from beurling import from_list, gap_window, psi, rational_primes
@@ -96,3 +97,16 @@ def test_threads_do_not_change_result(rp1e4):
     r4 = perron_psi(rp1e4, params, threads=4)
     assert r1.value == r4.value
     assert r1.imag_residual == r4.imag_residual
+
+
+@pytest.mark.parametrize("x", [100.5, np.float64(100.5)], ids=["float", "numpy-float"])
+def test_overflowing_x_to_the_c_is_refused(x):
+    """x^c = inf would make the value, error and budget nan; numpy's ** gives inf
+    with a warning where Python's raises, so the check must not rest on it."""
+    with pytest.raises(ParameterError, match="x\\^c overflows"):
+        PerronParams(x=x, T=10, c=1e300)
+
+
+def test_a_grid_past_the_node_cap_is_refused():
+    with pytest.raises(ParameterError, match="quadrature nodes"):
+        PerronParams(x=100.5, T=1e300)

@@ -2,11 +2,15 @@
 against the code they replaced, kept here as references.
 
 The g-integer walk was depth-first; it is now batched over whole same-prime
-chains.  The Dirichlet sum had a depth-first walk of its own; it now reads the
-batched walk and adds its terms in the depth-first walk's order.  The stream
-was a min-heap over (log value, exponent vector); it is now a sorted view of
-one walk's table.  The gap scan's window was cut from all sorted g-integer
-values; it now sorts only the logs near the window.  orderings_coincide
+chains.  N(x), the Dirichlet sum and the gap scan walked per call; they now
+read the nodes a system keeps from one walk, and walk per call only above a
+node cap.  The Dirichlet sum had a depth-first walk of its own; it now adds
+its terms in the depth-first walk's order.  The stream was a min-heap over
+(log value, exponent vector); it is now a sorted view of one walk's table,
+whose items are built from the exponent tuples of the rows they extend.  The
+gap scan's values were cut from all g-integer values up to twice its point;
+it now takes the values near its window from the nodes, and the least one
+above it.  orderings_coincide
 searched each bracket f_k(n) of two induced orders by doubling and bisection;
 it now takes them in closed form.  psi was a loop over the primes; it is now
 one array expression.  The sieve, the Gaussian system, the validation of a
@@ -38,8 +42,13 @@ from beurling import (
     rational_primes,
     stream_gintegers,
 )
-from beurling import counting, orders, systems
-from beurling.errors import InvalidPrimeError, MaterialisationError, ParameterError
+from beurling import counting, orders, perron, systems
+from beurling.errors import (
+    InvalidPrimeError,
+    MaterialisationError,
+    ParameterError,
+    UnstablePointError,
+)
 from beurling.orders import CoincidenceResult, InducedOracle, f_k
 from beurling.systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance
 
@@ -180,6 +189,11 @@ def systems_and_bounds(draw, near_one=False, most=2000):
     return system, bound
 
 
+def fresh(system):
+    """The same system with no derived data: no nodes walked yet."""
+    return GPrimeSystem(system.primes, system.limit, system.label)
+
+
 @given(systems_and_bounds())
 def test_stream_is_the_heap_stream(case):
     assert_same_stream(*case)
@@ -206,14 +220,12 @@ def test_walk_batches_whole_chains():
 
 @pytest.mark.parametrize("piece", [1, 7])
 def test_piece_size_changes_no_result(monkeypatch, piece):
-    cases = [
-        (rational_primes(1000), 1000.0),
-        (from_list([2.0, 3.0, 4.0, 6.0, 9.0], 3000.0), 3000.0),
-        (from_list([1.01, 1.5, 2.0], 1e300), 60.0),
-    ]
-
-    def results():
-        for system, bound in cases:
+    def results():  # on new systems, which walk their nodes in the current pieces
+        for system, bound in [
+            (rational_primes(1000), 1000.0),
+            (from_list([2.0, 3.0, 4.0, 6.0, 9.0], 3000.0), 3000.0),
+            (from_list([1.01, 1.5, 2.0], 1e300), 60.0),
+        ]:
             lb, tol = math.log(bound), log_tolerance(bound)
             logs = np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes()
             yield counting._count_leq(system, lb, tol), logs, items(stream_gintegers(system, bound))
@@ -256,7 +268,7 @@ def test_power_sum_piece_size_changes_no_bit(case, s):
     system, bound = case
     for piece in (1, 7):
         with mock.patch.object(counting, "PIECE", piece):
-            assert_same_power_sum(system, math.log(bound), log_tolerance(bound), s)
+            assert_same_power_sum(fresh(system), math.log(bound), log_tolerance(bound), s)
 
 
 @pytest.mark.parametrize("make", [rational_primes, gaussian_system])
@@ -282,10 +294,28 @@ def test_power_sum_under_an_infinite_horizon():
             walk(system, math.inf, 0.0, 2 + 1j)
 
 
+def reference_nearest(system, x, halfwidth=4.0):
+    """The gap scan's values as they were: every sorted g-integer value from
+    x - halfwidth up to min(limit, 2x + halfwidth), cut from one walk's table."""
+    counting._check_bound(system, x + halfwidth, "scan upper edge")
+    hi = min(system.limit, 2 * x + halfwidth)
+    lb, tol = counting._capped_bound(
+        system, hi, counting.MATERIALISE_WARN_CAP, counting.MATERIALISE_REFUSE_CAP
+    )
+    logs = counting._collect_logs_leq(system, lb, tol)
+    lo = x - halfwidth
+    if lo > 0:  # sort and exponentiate only the window; the margin is far above exp's rounding
+        logs = logs[logs >= math.log(lo) - 1e-9]
+    vals = np.exp(np.sort(logs))
+    return vals[vals >= lo]
+
+
 def window_of_all_values(system, x, halfwidth):
-    """The gap scan's window, cut from every sorted g-integer value up to 2x + halfwidth."""
+    """The gap scan's window, cut from every sorted g-integer value up to 2x + halfwidth:
+    the values in [x - halfwidth, x + halfwidth], then the next one."""
     vals = g_integer_values(system, min(system.limit, 2 * x + halfwidth))
-    return vals[vals >= x - halfwidth]
+    vals = vals[vals >= x - halfwidth]
+    return vals[: np.searchsorted(vals, x + halfwidth, "right") + 1]
 
 
 @given(systems_and_bounds(), st.floats(0.0, 1.0), st.sampled_from([3.0, 4.0]))
@@ -306,6 +336,185 @@ def test_scan_window_is_the_cut_of_all_values_on_builtin_systems(make):
     for x in (2.0, 4.5, 1000.5, 1.7e5, 4.99e5):
         got = counting.nearest_gintegers(system, x)
         assert got.tobytes() == window_of_all_values(system, x, 4.0).tobytes()
+
+
+def test_scan_window_at_its_upper_edge():
+    """x + halfwidth on each g-integer value.  Two equal leaves sit on the upper edge
+    (1.303 * 1.477 twice), where fl(log(x + halfwidth) - v) may round below the
+    prime's log: the margin keeps both in the window."""
+    system = from_list([1.303, 1.477, 1.477, 1.612, 1.612], 40.0)
+    for up in g_integer_values(system, 3.0):
+        if up > 1.5:
+            got = counting.nearest_gintegers(system, up - 0.5, 0.5)
+            assert got.tobytes() == window_of_all_values(system, up - 0.5, 0.5).tobytes()
+
+
+def gap_fields(system, x, nearest=None):
+    """gap_window's fields, by repr (so by bit), with the scan of its own or, if
+    given, over `nearest`."""
+    if nearest is None:
+        return repr(counting.gap_window(system, x))
+    with mock.patch.object(counting, "nearest_gintegers", nearest):
+        return repr(counting.gap_window(system, x))
+
+
+@given(systems_and_bounds(), st.floats(0.0, 1.0))
+def test_gap_window_is_the_scan_over_all_values(case, u):
+    system, bound = case
+    top = system.limit - 4.0
+    if top < 2:
+        return
+    for x in {2 + (top - 2) * u, min(top, max(2.0, bound))}:
+        assert gap_fields(system, x) == gap_fields(system, x, reference_nearest)
+
+
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_gap_window_is_the_scan_over_all_values_on_builtin_systems(make):
+    system = make(10**6)
+    for x in (2.0, 4.5, 1000.5, 1.7e5, 4.99e5):
+        assert gap_fields(system, x) == gap_fields(system, x, reference_nearest)
+
+
+def perron_outcome(system, x):
+    try:
+        return repr(perron.perron_psi(system, perron.PerronParams(x=x, T=5.0)))
+    except UnstablePointError as exc:
+        return repr(exc)
+
+
+def test_perron_gap_check_is_the_scan_over_all_values():
+    """On a g-integer, within its 1/x^2 and just outside it: the same error, or the
+    same result."""
+    system = rational_primes(10**4)
+    for x in (100.0, 100.0 + 1e-5, 100.0 + 2e-4, 1000.5, 4999.0 - 1e-8, 2.5, 3.0):
+        got = perron_outcome(system, x)
+        with mock.patch.object(perron, "nearest_gintegers", reference_nearest):
+            assert got == perron_outcome(system, x)
+
+
+def node_answers(system, bounds, s):
+    """What a system answers at each bound: the count, the power sum (by hex) and its
+    count, and the scan window of halfwidth 3 at the bound, or as near it as the
+    horizon lets."""
+    out = []
+    for bound in bounds:
+        lb, tol = math.log(bound), log_tolerance(bound)
+        value, count = counting._power_sum_leq(system, lb, tol, s)
+        out.append((counting._count_leq(system, lb, tol), value.real.hex(), value.imag.hex(), count))
+        x = min(bound, system.limit - 3.0)
+        if x > 0:
+            out.append(counting.nearest_gintegers(system, x, 3.0).tobytes())
+    return out
+
+
+def walked_answers(system, bounds, s):
+    """The same from the per-call walks: the depth-first count and sum, and the scan
+    over one walk's table."""
+    out = []
+    for bound in bounds:
+        lb, tol = math.log(bound), log_tolerance(bound)
+        value, count = dfs_power_sum(system, lb, tol, s)
+        out.append((dfs_count(system, lb, tol), value.real.hex(), value.imag.hex(), count))
+        x = min(bound, system.limit - 3.0)
+        if x > 0:
+            vals = reference_nearest(system, x, 3.0)
+            out.append(vals[: np.searchsorted(vals, x + 3.0, "right") + 1].tobytes())
+    return out
+
+
+def horizon_nodes(system):
+    return counting._nodes(system, math.log(system.limit), log_tolerance(system.limit))
+
+
+@given(systems_and_bounds(near_one=True, most=500), st.lists(st.floats(0.0, 1.0), max_size=2), S_POINTS)
+def test_kept_nodes_give_the_walks_answers(case, us, s):
+    """Nodes walked to the horizon in pieces of 1 and 7, which cut chains and split
+    a node's heads over several batches, read at the horizon and below it."""
+    system, bound = case
+    bounds = [system.limit, bound] + [1 + (system.limit - 1) * u for u in us]
+    want = walked_answers(system, bounds, s)
+    top = math.log(system.limit) + log_tolerance(system.limit)
+    for piece in (1, 7):
+        kept = fresh(system)
+        with mock.patch.object(counting, "PIECE", piece):
+            assert horizon_nodes(kept).top == top
+        assert node_answers(kept, bounds, s) == want
+
+
+@given(systems_and_bounds(near_one=True), st.floats(0.0, 1.0))
+def test_nodes_at_a_lower_bound_are_the_depth_first_walks(case, u):
+    """Cut from the horizon's nodes, the nodes at x are closed under parents, and in
+    the kept pre-order they are the depth-first walk's nodes, bit for bit."""
+    system, bound = case
+    nodes = horizon_nodes(system)
+    for x in (bound, 1 + (system.limit - 1) * u, system.limit):
+        top = math.log(x) + log_tolerance(x)
+        keep = nodes.step <= (top - nodes.vpar) / 2
+        assert keep[0] and keep[nodes.parent[keep]].all()
+        got = np.array(nodes.at(system.log_primes, top, preorder=True)).T
+        want = np.array(list(dfs_walk(system, math.log(x), log_tolerance(x))))
+        assert got.tobytes() == want.tobytes()
+
+
+@given(systems_and_bounds(near_one=True), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), S_POINTS)
+def test_grown_nodes_answer_as_nodes_walked_to_the_horizon(case, us, s):
+    system, _ = case
+    bounds = sorted(1 + (system.limit - 1) * u for u in us) + [system.limit]
+    grown = fresh(system)  # each bound may grow its nodes, from the first one up
+    got = [node_answers(grown, [b], s) for b in bounds]
+    at_horizon = fresh(system)
+    horizon_nodes(at_horizon)
+    assert got == [node_answers(at_horizon, [b], s) for b in bounds]
+
+
+@given(systems_and_bounds(near_one=True), st.lists(st.floats(0.0, 1.0), max_size=2), S_POINTS)
+def test_a_tiny_node_cap_gives_the_same_answers(case, us, s):
+    """Under a cap of 4 nodes, low bounds keep their nodes and higher ones walk."""
+    system, bound = case
+    bounds = sorted([bound] + [1 + (system.limit - 1) * u for u in us]) + [system.limit]
+    want = node_answers(fresh(system), bounds, s)
+    for cap in (0, 4):
+        with mock.patch.object(counting, "NODE_CAP", cap):
+            assert node_answers(fresh(system), bounds, s) == want
+
+
+def test_nodes_on_the_edge_of_their_test():
+    """At the top t = fl(vpar + 2 logs[i]) a node may or may not be in the walk:
+    fl(t - vpar) / 2 falls below logs[i] when the sum rounded down.  The kept
+    nodes take the walk's own test, so each count is the depth-first walk's."""
+    system = rational_primes(100)
+    nodes = horizon_nodes(system)
+    tops = (nodes.vpar + 2 * nodes.step)[1:]
+    out = nodes.step[1:] > (tops - nodes.vpar[1:]) / 2
+    assert out.any() and not out.all()
+    for top in tops:
+        assert counting._count_leq(system, top, 0.0) == dfs_count(system, top, 0.0)
+
+
+def test_a_system_over_the_node_cap_keeps_none():
+    system = from_list([1.001, 1.5, 2.0, 3.1], 3e4)
+    assert horizon_nodes(system) is None
+    assert count_N(system, 50.0) == dfs_count(system, math.log(50.0), log_tolerance(50.0))
+
+
+def test_a_refusal_walks_in_time_that_grows_with_the_cap(monkeypatch):
+    """1 + 2**-52 has about 4.5e6 and 4.5e7 g-integers up to these bounds.  Refused
+    at a cap of 100, each walks at most the nodes a system may keep, and one batch."""
+    walked = []
+    batches = counting._batches
+
+    def counted(*args):
+        for batch in batches(*args):
+            walked.append(len(batch[0]) + int((batch[3] - batch[2]).sum()))
+            yield batch
+
+    monkeypatch.setattr(counting, "_batches", counted)
+    system = from_list([1 + 2**-52], 1e10)
+    for bound in (1.000000001, 1.00000001):
+        walked.clear()
+        with pytest.raises(MaterialisationError, match=r"^\d+ g-integers exceed the cap 100$"):
+            g_integer_values(fresh(system), bound, 10, 100)
+        assert sum(walked) <= 2 * (counting.NODE_CAP + counting.PIECE)
 
 
 FIXED = [
@@ -331,6 +540,15 @@ def test_stream_is_the_heap_stream_on_tie_heavy_lists(primes, limit):
     values = g_integer_values(system, bound).tolist()
     for b in {bound, values[len(values) // 2], max(1.0, values[len(values) // 2] - 1e-13)}:
         assert_same_stream(system, b)
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+def test_stream_piece_size_changes_no_item(monkeypatch, piece):
+    """Pieces of 1 and 7 sorted rows end between most neighbours, never inside a
+    tie cluster."""
+    monkeypatch.setattr(counting, "STREAM_PIECE", piece)
+    for primes, limit in FIXED:
+        assert_same_stream(from_list(primes, limit), 1 + 1e-12 if primes[0] < 1 + 1e-12 else limit)
 
 
 @pytest.mark.parametrize(

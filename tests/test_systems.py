@@ -12,6 +12,7 @@ from beurling import (
     power_system,
     rational_primes,
 )
+from beurling import systems
 from beurling.errors import (
     EmptySystemError,
     InvalidExponentError,
@@ -186,3 +187,11 @@ def test_prime_file_empty_rejected(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(EmptySystemError):
         from_file(p)
+
+
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_a_limit_past_the_sieve_cap_is_refused(make):
+    """Refused before the mask (a byte per integer) is allocated."""
+    for limit in (systems.SIEVE_CAP * 1.001, 1e12, 1e300):
+        with pytest.raises(ParameterError, match="must be at most"):
+            make(limit)
