@@ -2,18 +2,22 @@
 
 The partition-sum table is built once per system, up to its horizon; the
 prime-power table grows from the first bound asked to min(horizon, bound**2)
-as bounds pass it.  Every bound reads a prefix of them; a prime-power prefix
-must equal the per-bound loop kept in test_references.py.
+as bounds pass it, and so do the walk's nodes.  Every bound reads a prefix of
+them; a prime-power prefix must equal the per-bound loop kept in
+test_references.py.
 """
 import gc
 import math
 import random
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from beurling import (
+    count_N,
     counting_report,
     from_list,
     g_integer_values,
@@ -25,7 +29,7 @@ from beurling import counting, mellin, zeta
 from beurling.counting import _prime_powers, prime_power_table
 from beurling.mellin import KERNELS, Kernel, partition_F
 from beurling.perron import PerronParams, perron_psi
-from beurling.zeta import phi_continued, phi_dirichlet, zeta_euler
+from beurling.zeta import phi_continued, phi_dirichlet, zeta_dirichlet, zeta_euler
 from test_references import reference_prime_powers
 
 
@@ -163,3 +167,25 @@ def test_cache_info_one_miss_then_hits():
     for before, after in zip(rounds, rounds[1:]):
         for (h0, m0), (h1, m1) in zip(before, after):
             assert m0 == m1 == 1 and h1 > h0
+
+
+def test_threads_growing_the_nodes_together_answer_as_one_thread(alarm):
+    """Threads that walk a new system's nodes together, from bounds in no order,
+    each keep what they walked: every answer is the one a lone thread gives."""
+    bounds = [10.0, 1e3, 50.0, 4e3, 300.0, 1e4, 2.0, 7e3]
+
+    def answer(system, bound):
+        return count_N(system, bound), zeta_dirichlet(system, 2.0, bound).value
+
+    alone = rational_primes(10**4)
+    want = [answer(alone, b) for b in bounds] * 6
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            system = rational_primes(10**4)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(answer, system, b) for b in bounds * 6]
+                assert [f.result(timeout=30) for f in futures] == want
+    finally:
+        sys.setswitchinterval(previous)

@@ -338,15 +338,17 @@ def test_scan_window_is_the_cut_of_all_values_on_builtin_systems(make):
         assert got.tobytes() == window_of_all_values(system, x, 4.0).tobytes()
 
 
-def test_scan_window_at_its_upper_edge():
-    """x + halfwidth on each g-integer value.  Two equal leaves sit on the upper edge
-    (1.303 * 1.477 twice), where fl(log(x + halfwidth) - v) may round below the
-    prime's log: the margin keeps both in the window."""
+def test_scan_window_at_its_edges():
+    """x - halfwidth and x + halfwidth on each g-integer value.  Two equal leaves sit
+    on the upper edge (1.303 * 1.477 twice), where fl(log(x + halfwidth) - v) may
+    round below the prime's log, and log(exp(L)) may round above L on the lower
+    edge: the margins keep them in the window."""
     system = from_list([1.303, 1.477, 1.477, 1.612, 1.612], 40.0)
-    for up in g_integer_values(system, 3.0):
-        if up > 1.5:
-            got = counting.nearest_gintegers(system, up - 0.5, 0.5)
-            assert got.tobytes() == window_of_all_values(system, up - 0.5, 0.5).tobytes()
+    for edge in g_integer_values(system, 3.0):
+        for x in (edge - 0.5, edge + 0.5):
+            if x > 1.0:
+                got = counting.nearest_gintegers(system, x, 0.5)
+                assert got.tobytes() == window_of_all_values(system, x, 0.5).tobytes()
 
 
 def gap_fields(system, x, nearest=None):
@@ -489,6 +491,22 @@ def test_nodes_on_the_edge_of_their_test():
     assert out.any() and not out.all()
     for top in tops:
         assert counting._count_leq(system, top, 0.0) == dfs_count(system, top, 0.0)
+
+
+def test_nodes_grow_to_the_square_of_the_bound():
+    """A bound past the kept nodes walks them to min(horizon, bound**2), as the
+    prime-power table grows; a bound below them walks nothing, and a walk past
+    NODE_CAP keeps what was kept."""
+    system = from_list([2.0, 3.0], 1e300)
+    kept = []
+    for bound in (10.0, 50.0, 1e5, 1e300):
+        count_N(system, bound)
+        kept.append(counting._node_cell(system)[0][0].top)
+    top = [math.log(b) + log_tolerance(b) for b in (10.0, 1e5)]
+    assert kept == [2 * top[0], 2 * top[0], 2 * top[1], 2 * top[1]]
+    horizon = rational_primes(1000)
+    count_N(horizon, 100.0)
+    assert counting._node_cell(horizon)[0][0].top == math.log(1000) + log_tolerance(1000)
 
 
 def test_a_system_over_the_node_cap_keeps_none():
