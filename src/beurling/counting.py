@@ -5,11 +5,12 @@ g-integer is generated once.  One numpy walk, `_batches`, sums whole same-prime
 chains at once and forms the same floats as a depth-first walk.  The g-integers
 it extends, its nodes, are far fewer than the g-integers (9,108 of the 1e6
 g-integers up to 1e6 on the rationals), so each system keeps the nodes of one
-walk (`_nodes`), and N(x), the Dirichlet sum and the gap scan's window read the
-nodes of any lower bound from them with a few `searchsorted` passes; above
-NODE_CAP nodes they walk per call.  The sorted value arrays and the sorted
-stream's table (each counted under one pair of caps, built, then sorted) walk
-per call.  The Dirichlet sum adds its terms in the depth-first walk's
+walk (`_nodes`), and N(x), the Dirichlet sum, the gap scan's window, the sorted
+value arrays and the sorted stream read the nodes of any lower bound from them
+with a few `searchsorted` passes; above NODE_CAP nodes they walk per call.  The
+value arrays and the stream are counted under one pair of caps first; the
+stream then builds its items from the nodes' leaves one log segment at a time,
+as it is read.  The Dirichlet sum adds its terms in the depth-first walk's
 pre-order, which sets its last bits.
 
 All comparisons against a query x happen in the log domain with tolerance
@@ -19,6 +20,7 @@ and grid reports flag the boundary hit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,18 +54,17 @@ class GIntegerStream:
     """Single-consumer sorted stream of g-integers <= bound, with multiplicity.
 
     Emission order is nondecreasing in log value; numerically tied values are
-    emitted in lexicographic order of their exponent vectors.  The whole
-    table is counted (under the caps), built and sorted on construction; the
-    items are built from it STREAM_PIECE sorted rows at a time, each from the
-    exponent tuple of the row it extends.
+    emitted in lexicographic order of their exponent vectors.  The count is
+    checked against the caps on construction; the items are then built as they
+    are read, one log segment of about STREAM_PIECE items at a time, from the
+    leaves of the system's kept nodes (`_segments`).
     """
 
     def __init__(self, source: GPrimeSystem, bound: float):
         lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
         self.source, self.bound = source, bound
-        table, *links = _table(source, lb, tol, links=True)
-        order = np.argsort(table, kind="stable")
-        self._items = _sorted_items(table[order], order, *links)
+        nodes = _nodes_or_walk(source, lb, tol)
+        self._items = itertools.chain.from_iterable(_segments(source._logs, lb + tol, nodes))
 
     def __iter__(self):
         return self
@@ -72,51 +73,108 @@ class GIntegerStream:
         return next(self._items)
 
 
-def _sorted_items(
-    logs: np.ndarray, rows: np.ndarray, back: np.ndarray, run: np.ndarray, prime: np.ndarray
-):
-    """The stream's GIntegers from its sorted rows: row r extends row back[r] by
-    run[r] factors of the prime at index prime[r]; row 0 is the g-integer 1.  This
-    holds no reference to the stream, so a dropped stream is freed at once, not by
-    the cycle collector."""
-    most = int(back.max())  # the rows that others extend are nodes, which come first
-    back, run, prime = map(memoryview, (back, run, prime))
-    known = {0: ()}  # exponent tuples of node rows
+def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
+    """The GIntegers of the walk to `top`, sorted, as one list per log segment (lo, b].
 
-    def exponents(row: int) -> tuple[tuple[int, int], ...]:
-        path = []  # the rows from `row` back to one whose tuple is known
-        while row not in known:
-            path.append(row)
-            row = back[row]
-        exps = known[row]
-        for row in reversed(path):
-            j, a = prime[row], run[row]
-            if exps and exps[-1][0] == j:  # a leaf of its node's prime, or a chain cut short
-                exps = (*exps[:-1], (j, exps[-1][1] + a))
-            else:
-                exps = (*exps, (j, a))
-            if row <= most:
-                known[row] = exps
-        return exps
+    A segment holds the nodes with lo < v <= b and the leaves whose computed float
+    v + logs[j], the table's own expression, lies in (lo, b]; the last one holds
+    the rest, even a leaf past `top` by rounding.  Each segment's trailing run of
+    items linked by gaps <= LOG_TIE_TOL waits for the next one, so no tie cluster
+    crosses an edge, and the clusters of each run are those of the whole sorted
+    table.  Each edge is set from how N grew over the segment before; a segment
+    past 4 * STREAM_PIECE items shrinks by its own density, at most twice, and
+    never below the least item left, so a large tie cluster is one segment.  This
+    holds no reference to the stream, so a dropped stream is freed at once, not
+    by the cycle collector.
+    """
+    rows = np.flatnonzero(nodes.keep(top))
+    rows = rows[np.argsort(nodes.v[rows], kind="stable")]  # a parent sorts before its children
+    v, i = nodes.v[rows], nodes.i[rows]
+    mid, hi = _leaf_range(logs, top, v, i)
+    where = np.empty(len(nodes.v), np.intp)
+    where[rows] = np.arange(len(rows))
+    parent, prime = where[nodes.parent[rows]].tolist(), i.tolist()
+    prime[0] = -1  # the root, 1, has no last prime
+    exps, raised = [()], [()]  # per node built so far: its exponents, and it times its prime's
+    done = mid.copy()  # each node's first leaf not yet in a segment
+    held, held_v = [], np.empty(0)  # the last segment's trailing tie run
+    # the first edge: log2(STREAM_PIECE) factors of the least prime, 2**9 = 512 on the rationals
+    lo, width = -math.inf, float(logs[0]) * max(1.0, math.log2(STREAM_PIECE))
+    total = 0  # the items up to lo
+    while True:
+        a = int(np.searchsorted(v, lo, "right"))  # the nodes before a are in earlier segments
+        left = done[:a] < hi[:a]  # the nodes with leaves left
+        least = min(  # the least item above lo: every segment takes it
+            v[a] if a < len(v) else math.inf,
+            np.min(v[:a][left] + logs[done[:a][left]], initial=math.inf),
+        )
+        for shrink in range(3):  # a segment past 4 * STREAM_PIECE items shrinks, at most twice
+            b = max(max(lo, 0.0) + width, least)
+            last = b >= top
+            n = int(np.searchsorted(v, math.inf if last else b, "right"))
+            stop = hi[:n]
+            if not last:  # chosen by log with a margin, then cut exactly on the float
+                stop = np.clip(np.searchsorted(logs, b - v[:n] + 1e-9, "right"), done[:n], stop)
+            size = int((stop - done[:n]).sum())
+            if n - a + size <= 4 * STREAM_PIECE or b == least or shrink == 2:
+                break
+            width *= STREAM_PIECE / (n - a + size)
+        k, j = next(_spans(done[:n], stop, max(1, size)), (np.empty(0, np.intp),) * 2)
+        leaves = v[k] + logs[j]
+        if not last:
+            keep = leaves <= b
+            k, j, leaves = k[keep], j[keep], leaves[keep]
+            done[:n] += np.bincount(k, minlength=n)
+        for r, q in zip(parent[len(exps) : n], prime[len(exps) : n]):
+            t = raised[r] if prime[r] == q else exps[r] + ((q, 1),)
+            exps.append(t)
+            raised.append((*t[:-1], (q, t[-1][1] + 1)))
+        found = held + exps[a:n]
+        found += [
+            raised[r] if prime[r] == q else exps[r] + ((q, 1),) for r, q in zip(k.tolist(), j.tolist())
+        ]
+        values = np.concatenate([held_v, v[a:n], leaves])
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        apart = np.diff(values) > LOG_TIE_TOL
+        cut = len(values) if last else int(np.flatnonzero(apart)[-1]) + 1 if apart.any() else 0
+        order = order.tolist()
+        held, held_v = [found[r] for r in order[cut:]], values[cut:]
+        if cut:
+            yield _tie_ordered([found[r] for r in order[:cut]], values[:cut], apart)
+        if last:
+            return
+        count = n - a + len(leaves)  # the items in (lo, b]; the root is the one at or below 0
+        growth = math.log((total + count) / max(total, 1)) / (b - max(lo, 0.0))
+        lo, total = b, total + count
+        # the next width holds STREAM_PIECE items if log N(e^t) grows as it did over the last
+        width = min(4 * width, math.log1p(STREAM_PIECE / total) / growth) if growth > 0 else 4 * width
 
-    start = 0
-    while start < len(logs):
-        stop = min(start + STREAM_PIECE, len(logs))
-        while stop < len(logs) and logs[stop] - logs[stop - 1] <= LOG_TIE_TOL:
-            stop += 1  # a piece ends where no tie cluster can go on
-        values, piece = logs[start:stop].tolist(), rows[start:stop].tolist()
-        k = 0
-        while k < len(values):
-            end = k + 1  # a tie cluster: items within LOG_TIE_TOL of its first
-            while end < len(values) and values[end] - values[k] <= LOG_TIE_TOL:
-                end += 1
-            if end == k + 1:
-                yield GInteger(exponents(piece[k]), values[k])
-            else:  # in lexicographic order of exponent vectors
-                tied = [GInteger(exponents(r), v) for r, v in zip(piece[k:end], values[k:end])]
-                yield from sorted(tied, key=lambda g: g.exponents)
-            k = end
-        start = stop
+
+def _tie_ordered(exps: list, values: np.ndarray, apart: np.ndarray):
+    """GIntegers from sorted values and their exponents, each tie cluster (the items
+    within LOG_TIE_TOL of its first) in lexicographic order of exponent vectors, each
+    built as it is read.  apart[q] says whether items q and q + 1 are more than
+    LOG_TIE_TOL apart: a run of items linked by smaller gaps is one cluster unless
+    it is wider than LOG_TIE_TOL."""
+    first = np.concatenate([[True], apart[: len(values) - 1]])  # where a cluster starts
+    runs = np.flatnonzero(first)
+    ends = np.append(runs[1:], len(values))
+    wide = values[ends - 1] - values[runs] > LOG_TIE_TOL
+    for start, end in zip(runs[wide].tolist(), ends[wide].tolist()):
+        run, k = values[start:end].tolist(), 0
+        while k < len(run):  # clusters anchored at their first item, greedily
+            first[start + k], stop = True, k + 1
+            while stop < len(run) and run[stop] - run[k] <= LOG_TIE_TOL:
+                stop += 1
+            k = stop
+    tied = np.flatnonzero(~first | ~np.append(first[1:], True))  # the items in clusters of 2 or more
+    if len(tied):
+        order, rows = np.arange(len(values)), tied.tolist()
+        key = zip(np.cumsum(first)[tied].tolist(), [exps[q] for q in rows], rows)
+        order[tied] = [q for *_, q in sorted(key)]  # the exponents differ within a cluster
+        exps, values = [exps[q] for q in order.tolist()], values[order]
+    return map(GInteger, exps, values.tolist())
 
 
 def stream_gintegers(system: GPrimeSystem, bound: float) -> GIntegerStream:
@@ -217,10 +275,14 @@ class _Nodes:
         rows[_preorder(self.i, *self._links)] = np.arange(len(rows))
         return rows
 
+    def keep(self, top: float) -> np.ndarray:
+        """Which nodes are in the walk to top <= self.top."""
+        return self.step <= (top - self.vpar) / 2
+
     def at(self, logs: np.ndarray, top: float, preorder: bool = False):
         """(v, i, mid, hi) of the nodes in the walk to top <= self.top, in walk order
         or in the depth-first pre-order."""
-        keep = self.step <= (top - self.vpar) / 2
+        keep = self.keep(top)
         rows = self.preorder[keep[self.preorder]] if preorder else keep
         v, i = self.v[rows], self.i[rows]
         return v, i, *_leaf_range(logs, top, v, i)
@@ -288,30 +350,15 @@ def _count_leq(system: GPrimeSystem, log_bound: float, tol: float, stop: int | N
     return n
 
 
-def _table(system: GPrimeSystem, log_bound: float, tol: float, links: bool = False):
-    """Log values of all exponent vectors <= the bound: the nodes in walk order, then
-    the leaves.  With `links`, also how each row extends an earlier one: the row
-    before its run of one prime, the run's length and the prime's index."""
-    walk = zip(*_batches(system, log_bound, tol))
-    v, i, mid, hi, length, src = (np.concatenate(c) for c in walk)
-    row = len(v)
-    out = np.concatenate([v, np.empty(int((hi - mid).sum()))])
-    if links:  # a chain's node at step s extends its head's parent by s + 1 factors
-        back, run, prime = (np.ones(len(out), np.intp) for _ in range(3))
-        back[:row], prime[:row] = np.repeat(src, length), i
-        run[:row] = np.arange(row) - np.repeat(np.cumsum(length) - length, length) + 1
-        run[: length[0]] -= 1  # the root chain heads at 1 itself, not at 1 times a prime
+def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
+    """Unsorted log values of all exponent vectors <= the bound: the nodes in walk
+    order, then their leaves."""
+    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(system._logs, log_bound + tol)
+    out, row = np.concatenate([v, np.empty(int((hi - mid).sum()))]), len(v)
     for k, j in _spans(mid, hi, PIECE):
         out[row : row + len(k)] = v[k] + system._logs[j]
-        if links:  # a leaf extends its node by one factor
-            back[row : row + len(k)], prime[row : row + len(k)] = k, j
         row += len(k)
-    return (out, back, run, prime) if links else out
-
-
-def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
-    """Unsorted log values of all exponent vectors <= the bound."""
-    return _table(system, log_bound, tol)
+    return out
 
 
 def _preorder(i, length, src, rows, chains) -> np.ndarray:

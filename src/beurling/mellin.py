@@ -316,6 +316,12 @@ def _continued_mellin(
     remainder exponent.
     """
     s = complex(s)
+    return _mellin_quad(F, expansion, s, *_mellin_cut(F, expansion, s, beta, target))
+
+
+def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float, target: float):
+    """(xmin, bound on the neglected (0, xmin] piece) of the continuation at s, once s
+    passes the pole and strip checks: everything that can refuse s before a quadrature."""
     hit = expansion.pole_near(s)
     if hit is not None:
         lam, order = hit
@@ -333,10 +339,6 @@ def _continued_mellin(
             f"Re s = {s.real} is not above the remainder exponent "
             f"{complex(rem_lam).real}; supply more expansion terms"
         )
-
-    def subtracted(x: float) -> complex:
-        r = F(x)
-        return complex(r.value) - expansion.leading_sum(x)
 
     # walk xmin down until the neglected (0, xmin] piece is under target
     xmin = 0.5
@@ -361,6 +363,16 @@ def _continued_mellin(
         if bound_below <= target / 10 or xmin < 1e-6:
             break
         xmin *= 0.5
+    return xmin, bound_below
+
+
+def _mellin_quad(F, expansion: AsymptoticExpansion, s: complex, xmin: float, bound_below: float):
+    """The continuation at s from its cut: the subtracted integrand on [xmin, 1], the
+    pole terms and F's own integral on [1, inf)."""
+
+    def subtracted(x: float) -> complex:
+        r = F(x)
+        return complex(r.value) - expansion.leading_sum(x)
 
     sm = mp.mpc(s)
     v1, e1 = mp.quad(
@@ -530,20 +542,12 @@ def check_fe_mellin(
         if near:
             skipped.append((s, f"within {pole_skip:g} of pole at {near[0]}"))
             continue
-        psi1 = _continued_mellin(
-            lambda x: spec1.F(x, tail_tol=target * 1e-3),
-            spec1.expansion,
-            1 - s,
-            spec1.kernel.beta,
-            target,
-        )
-        psi2 = _continued_mellin(
-            lambda x: spec2.F(x, tail_tol=target * 1e-3),
-            spec2.expansion,
-            s,
-            spec2.kernel.beta,
-            target,
-        )
+        sides = [
+            (lambda x: spec1.F(x, tail_tol=target * 1e-3), spec1.expansion, 1 - s, spec1.kernel.beta),
+            (lambda x: spec2.F(x, tail_tol=target * 1e-3), spec2.expansion, s, spec2.kernel.beta),
+        ]
+        cuts = [_mellin_cut(*side, target) for side in sides]  # both may refuse s before a quadrature
+        psi1, psi2 = (_mellin_quad(*side[:3], *cut) for side, cut in zip(sides, cuts))
         rows.append((s, psi1.value, psi2.value, abs(psi1.value - psi2.value)))
     max_res = max((r[3] for r in rows), default=0.0)
     return FEMellinReport(tuple(rows), float(max_res), tuple(skipped))

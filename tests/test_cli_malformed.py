@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from beurling import mellin
 from beurling.cli import build_parser, main
 
 H_TEXT = '[{"a": [0.5, 0.0], "mu": [-1.0, 0.0], "nu": 0}, {"a": [-0.5, 0.0], "mu": [0.0, 0.0], "nu": 0}]'
@@ -184,6 +185,20 @@ def test_inputs_past_the_machine_are_refused(argv, in_workdir, alarm, capsys):
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
     assert out.err.startswith("error: ")
+
+
+def test_an_overflowing_s_is_refused_before_any_quadrature(in_workdir, alarm, capsys, monkeypatch):
+    """At s = -1e300 the 1 - s side passes its checks and the s side overflows; both
+    sides are checked before either one's quadrature runs."""
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("mp.quad ran before the grid point was checked")
+
+    monkeypatch.setattr(mellin.mp, "quad", no_quad)
+    assert main(shlex.split("fe-check --pair theta --s-grid=-1e300")) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err == "error: x^s overflows for s = (-1e+300+0j) at x = 0.5\n"
 
 
 def test_a_kernel_that_underflows_to_zero_warns_nothing(in_workdir, capsys):

@@ -6,11 +6,12 @@ chains.  N(x), the Dirichlet sum and the gap scan walked per call; they now
 read the nodes a system keeps from one walk, and walk per call only above a
 node cap.  The Dirichlet sum had a depth-first walk of its own; it now adds
 its terms in the depth-first walk's order.  The stream was a min-heap over
-(log value, exponent vector); it is now a sorted view of one walk's table,
-whose items are built from the exponent tuples of the rows they extend.  The
-gap scan's values were cut from all g-integer values up to twice its point;
-it now takes the values near its window from the nodes, and the least one
-above it.  orderings_coincide
+(log value, exponent vector); it is now built from the kept nodes' leaves,
+one sorted log segment at a time, and holds the walk's table: near its top
+the walk and the heap can differ by a rounding, so there the reference is a
+sorted view of the depth-first walk's table.  The gap scan's values were cut
+from all g-integer values up to twice its point; it now takes the values near
+its window from the nodes, and the least one above it.  orderings_coincide
 searched each bracket f_k(n) of two induced orders by doubling and bisection;
 it now takes them in closed form.  psi was a loop over the primes; it is now
 one array expression.  The sieve, the Gaussian system, the validation of a
@@ -583,6 +584,133 @@ def test_stream_piece_size_changes_no_item(monkeypatch, piece):
 )
 def test_stream_is_the_heap_stream_on_builtin_systems(make, bound):
     assert_same_stream(make(), bound)
+
+
+@st.composite
+def systems_and_edge_bounds(draw):
+    """A system and a bound on a g-integer value, one ulp either side of it, or
+    log_tolerance either side of it in the log domain, where the stream's top
+    falls on that value; and a stream piece small enough that segment edges fall
+    between most items."""
+    system, _ = draw(systems_and_bounds())
+    value = draw(st.sampled_from(g_integer_values(system, system.limit).tolist()))
+    tol = log_tolerance(value)
+    bound = draw(st.sampled_from([
+        value,
+        math.nextafter(value, 0.0),
+        math.nextafter(value, math.inf),
+        value * math.exp(tol),
+        value * math.exp(-tol),
+    ]))
+    return system, min(system.limit, max(1.0, bound)), draw(st.sampled_from([1, 3, 512]))
+
+
+def table_stream(system, bound):
+    """The stream as a sorted view of the depth-first walk's table: every node, and
+    every leaf j in mid..hi-1 of each, whatever its float; by log value, and each tie
+    cluster (the items within LOG_TIE_TOL of its first) by exponent vector.  Near the
+    top the walk's test logs[j] <= fl(t - v) and the heap's fl(v + logs[j]) <= t can
+    differ by a rounding, either way; the stream and N(x) take the walk's."""
+    logs = system.log_primes.tolist()
+    top = math.log(bound) + log_tolerance(bound)
+    table, stack = [], [(0, 0.0, ())]
+    while stack:
+        i, lv, exps = stack.pop()
+        hi, mid = bisect_right(logs, top - lv, i), bisect_right(logs, (top - lv) / 2, i)
+        table.append((lv, exps))
+        for j in range(i, hi):
+            raised = exps and exps[-1][0] == j
+            child = exps[:-1] + ((j, exps[-1][1] + 1),) if raised else exps + ((j, 1),)
+            if j < mid:
+                stack.append((j, lv + logs[j], child))
+            else:
+                table.append((lv + logs[j], child))
+    table.sort(key=lambda item: item[0])
+    out, k = [], 0
+    while k < len(table):
+        end = k + 1
+        while end < len(table) and table[end][0] - table[k][0] <= LOG_TIE_TOL:
+            end += 1
+        out += sorted((exps, lv) for lv, exps in table[k:end])
+        k = end
+    return out
+
+
+@given(systems_and_edge_bounds())
+def test_stream_at_bounds_on_and_beside_values(case):
+    system, bound, piece = case
+    with mock.patch.object(counting, "STREAM_PIECE", piece):
+        got = items(stream_gintegers(system, bound))
+    assert got == table_stream(system, bound)
+    assert len(got) == count_N(system, bound)
+
+
+def test_walk_and_heap_differ_at_the_top_by_a_rounding():
+    """Here the top t is the float of 12 g-integers, fl(v + logs[j]) = t, while
+    logs[j] > fl(t - v): the heap stream holds them and the walk does not."""
+    system = from_list([1.5, 1.5, 1.5000000000001499, 1.5000000000001499], 12.0)
+    bound = 11.390624999973427
+    top = math.log(bound) + log_tolerance(bound)
+    got, heap = items(stream_gintegers(system, bound)), items(heap_stream(system, bound))
+    assert got == table_stream(system, bound) == [item for item in heap if item[1] < top]
+    assert len(heap) - len(got) == 12 and len(got) == count_N(system, bound)
+
+
+def test_stream_takes_a_leaf_that_rounds_past_its_top():
+    """At this bound, with t = log b + log_tolerance(b), the node 8 has the leaf 83
+    at j < hi, so logs[j] <= fl(t - log 8), and fl(log 8 + logs[j]) is one ulp above
+    t.  The walk's table and N(x) hold that leaf, and so does the stream's last
+    segment, which has no float cut at the top; the heap stream drops it."""
+    system, bound = rational_primes(1000), 663.9999999956849
+    top = math.log(bound) + log_tolerance(bound)
+    got = items(stream_gintegers(system, bound))
+    assert got[-1] == (((0, 3), (22, 1)), math.nextafter(top, math.inf))
+    assert got[:-1] == items(heap_stream(system, bound))
+    assert got == table_stream(system, bound)
+    assert len(got) == count_N(system, bound) == 664
+    for piece in (1, 7):
+        with mock.patch.object(counting, "STREAM_PIECE", piece):
+            assert items(stream_gintegers(system, bound)) == got
+
+
+def test_stream_over_the_node_cap_gives_the_same_items(monkeypatch):
+    """With NODE_CAP at 0 no system keeps nodes, and each stream walks its own."""
+    cases = [
+        (from_list(primes, limit), 1 + 1e-12 if primes[0] < 1 + 1e-12 else limit)
+        for primes, limit in FIXED
+    ]
+    cases += [(gaussian_system(3000), 2005.0), (rational_primes(5000), 5000.0)]
+    expected = [items(stream_gintegers(fresh(system), bound)) for system, bound in cases]
+    monkeypatch.setattr(counting, "NODE_CAP", 0)
+    for (system, bound), want in zip(cases, expected):
+        system = fresh(system)
+        assert items(stream_gintegers(system, bound)) == want
+        assert counting._node_cell(system)[0][0] is None
+
+
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_first_item_builds_one_segment(monkeypatch, make):
+    """Read one item deep at bound 1e6, a stream forms the leaf values and builds the
+    items of one segment of about STREAM_PIECE, not of its 1e6 g-integers."""
+    system = make(10**6)
+    count_N(system, 1e6)  # the nodes, walked once per system
+    made, leaves = [], []
+    spans = counting._spans
+
+    def counted_spans(*args):
+        for k, j in spans(*args):
+            leaves.append(len(k))
+            yield k, j
+
+    def counted(*args):
+        made.append(1)
+        return GInteger(*args)
+
+    monkeypatch.setattr(counting, "_spans", counted_spans)
+    monkeypatch.setattr(counting, "GInteger", counted)
+    assert next(stream_gintegers(system, 1e6)) == GInteger((), 0.0)
+    assert 0 < len(made) <= 2 * counting.STREAM_PIECE
+    assert sum(leaves) <= 2 * counting.STREAM_PIECE
 
 
 def test_stream_caps(monkeypatch):
