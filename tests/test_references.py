@@ -397,13 +397,15 @@ def test_perron_gap_check_is_the_scan_over_all_values():
 
 def node_answers(system, bounds, s):
     """What a system answers at each bound: the count, the power sum (by hex) and its
-    count, and the scan window of halfwidth 3 at the bound, or as near it as the
-    horizon lets."""
+    count, the sorted table, the stream, and the scan window of halfwidth 3 at the
+    bound, or as near it as the horizon lets."""
     out = []
     for bound in bounds:
         lb, tol = math.log(bound), log_tolerance(bound)
         value, count = counting._power_sum_leq(system, lb, tol, s)
         out.append((counting._count_leq(system, lb, tol), value.real.hex(), value.imag.hex(), count))
+        out.append(np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes())
+        out.append(items(stream_gintegers(system, bound)))
         x = min(bound, system.limit - 3.0)
         if x > 0:
             out.append(counting.nearest_gintegers(system, x, 3.0).tobytes())
@@ -411,13 +413,15 @@ def node_answers(system, bounds, s):
 
 
 def walked_answers(system, bounds, s):
-    """The same from the per-call walks: the depth-first count and sum, and the scan
-    over one walk's table."""
+    """The same from the per-call walks: the depth-first count, sum, table and stream,
+    and the scan over one walk's table."""
     out = []
     for bound in bounds:
         lb, tol = math.log(bound), log_tolerance(bound)
         value, count = dfs_power_sum(system, lb, tol, s)
         out.append((dfs_count(system, lb, tol), value.real.hex(), value.imag.hex(), count))
+        out.append(np.sort(dfs_collect(system, lb, tol)).tobytes())
+        out.append(table_stream(system, bound))
         x = min(bound, system.limit - 3.0)
         if x > 0:
             vals = reference_nearest(system, x, 3.0)
@@ -671,21 +675,6 @@ def test_stream_takes_a_leaf_that_rounds_past_its_top():
     for piece in (1, 7):
         with mock.patch.object(counting, "STREAM_PIECE", piece):
             assert items(stream_gintegers(system, bound)) == got
-
-
-def test_stream_over_the_node_cap_gives_the_same_items(monkeypatch):
-    """With NODE_CAP at 0 no system keeps nodes, and each stream walks its own."""
-    cases = [
-        (from_list(primes, limit), 1 + 1e-12 if primes[0] < 1 + 1e-12 else limit)
-        for primes, limit in FIXED
-    ]
-    cases += [(gaussian_system(3000), 2005.0), (rational_primes(5000), 5000.0)]
-    expected = [items(stream_gintegers(fresh(system), bound)) for system, bound in cases]
-    monkeypatch.setattr(counting, "NODE_CAP", 0)
-    for (system, bound), want in zip(cases, expected):
-        system = fresh(system)
-        assert items(stream_gintegers(system, bound)) == want
-        assert counting._node_cell(system)[0][0] is None
 
 
 @pytest.mark.parametrize("make", [rational_primes, gaussian_system])
