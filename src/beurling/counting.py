@@ -38,7 +38,7 @@ MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
 PIECE = 2**16  # elements a walk expands at once, at most: bounds its working memory
 NODE_CAP = 2**18  # nodes a system keeps, at most: above it, each call walks
-STREAM_PIECE = 512  # sorted rows a stream turns into items at once, at least
+STREAM_PIECE = 512  # items a stream aims to build per log segment
 
 
 def _check_bound(system: GPrimeSystem, bound: float, what: str = "bound") -> None:
@@ -78,14 +78,17 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
 
     A segment holds the nodes with lo < v <= b and the leaves whose computed float
     v + logs[j], the table's own expression, lies in (lo, b]; the last one holds
-    the rest, even a leaf past `top` by rounding.  Each segment's trailing run of
-    items linked by gaps <= LOG_TIE_TOL waits for the next one, so no tie cluster
-    crosses an edge, and the clusters of each run are those of the whole sorted
-    table.  Each edge is set from how N grew over the segment before; a segment
-    past 4 * STREAM_PIECE items shrinks by its own density, at most twice, and
-    never below the least item left, so a large tie cluster is one segment.  This
-    holds no reference to the stream, so a dropped stream is freed at once, not
-    by the cycle collector.
+    the rest, even a leaf past `top` by rounding.  Only the nodes of the segment
+    and the earlier ones with leaves left are searched.  A tie cluster (the items
+    within LOG_TIE_TOL of its first) is anchored by the items before it, so the
+    greedy clusters of a segment are those of the whole sorted table; a cluster
+    whose anchor is within LOG_TIE_TOL of b may still take items above b, and it
+    and those after it wait for the next segment, whose edge closes them.  Each
+    edge is set from how N grew over the segment before; a segment past
+    4 * STREAM_PIECE items shrinks by its own density, at most twice, and never
+    below the least item left, so a large tie cluster is one segment.  This holds
+    no reference to the stream, so a dropped stream is freed at once, not by the
+    cycle collector.
     """
     rows = np.flatnonzero(nodes.keep(top))
     rows = rows[np.argsort(nodes.v[rows], kind="stable")]  # a parent sorts before its children
@@ -97,34 +100,39 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
     prime[0] = -1  # the root, 1, has no last prime
     exps, raised = [()], [()]  # per node built so far: its exponents, and it times its prime's
     done = mid.copy()  # each node's first leaf not yet in a segment
-    held, held_v = [], np.empty(0)  # the last segment's trailing tie run
+    live = np.empty(0, np.intp)  # the nodes at or below lo with leaves left
+    held, held_v = [], np.empty(0)  # the last segment's open tie clusters
     # the first edge: log2(STREAM_PIECE) factors of the least prime, 2**9 = 512 on the rationals
     lo, width = -math.inf, float(logs[0]) * max(1.0, math.log2(STREAM_PIECE))
     total = 0  # the items up to lo
     while True:
         a = int(np.searchsorted(v, lo, "right"))  # the nodes before a are in earlier segments
-        left = done[:a] < hi[:a]  # the nodes with leaves left
         least = min(  # the least item above lo: every segment takes it
             v[a] if a < len(v) else math.inf,
-            np.min(v[:a][left] + logs[done[:a][left]], initial=math.inf),
+            np.min(v[live] + logs[done[live]], initial=math.inf),
         )
+        if len(held_v):  # and the edge closes every held cluster
+            least = max(least, held_v[0] + 3 * LOG_TIE_TOL)
         for shrink in range(3):  # a segment past 4 * STREAM_PIECE items shrinks, at most twice
             b = max(max(lo, 0.0) + width, least)
             last = b >= top
             n = int(np.searchsorted(v, math.inf if last else b, "right"))
-            stop = hi[:n]
+            near = np.concatenate([live, np.arange(a, n)])  # the nodes with items in (lo, b]
+            stop = hi[near]
             if not last:  # chosen by log with a margin, then cut exactly on the float
-                stop = np.clip(np.searchsorted(logs, b - v[:n] + 1e-9, "right"), done[:n], stop)
-            size = int((stop - done[:n]).sum())
+                stop = np.clip(np.searchsorted(logs, b - v[near] + 1e-9, "right"), done[near], stop)
+            size = int((stop - done[near]).sum())
             if n - a + size <= 4 * STREAM_PIECE or b == least or shrink == 2:
                 break
             width *= STREAM_PIECE / (n - a + size)
-        k, j = next(_spans(done[:n], stop, max(1, size)), (np.empty(0, np.intp),) * 2)
-        leaves = v[k] + logs[j]
+        k, j = next(_spans(done[near], stop, size)) if size else (np.empty(0, np.intp),) * 2
+        leaves = v[near[k]] + logs[j]
         if not last:
             keep = leaves <= b
             k, j, leaves = k[keep], j[keep], leaves[keep]
-            done[:n] += np.bincount(k, minlength=n)
+            done[near] += np.bincount(k, minlength=len(near))
+            live = near[done[near] < hi[near]]
+        k = near[k]
         for r, q in zip(parent[len(exps) : n], prime[len(exps) : n]):
             t = raised[r] if prime[r] == q else exps[r] + ((q, 1),)
             exps.append(t)
@@ -136,12 +144,15 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
         values = np.concatenate([held_v, v[a:n], leaves])
         order = np.argsort(values, kind="stable")
         values = values[order]
-        apart = np.diff(values) > LOG_TIE_TOL
-        cut = len(values) if last else int(np.flatnonzero(apart)[-1]) + 1 if apart.any() else 0
+        first = _anchors(values)
+        anchors = np.flatnonzero(first)
+        # an item above b joins a cluster anchored at a only if b - a <= LOG_TIE_TOL
+        reach = anchors[b - values[anchors] <= LOG_TIE_TOL]
+        cut = int(reach[0]) if len(reach) and not last else len(values)
         order = order.tolist()
         held, held_v = [found[r] for r in order[cut:]], values[cut:]
         if cut:
-            yield _tie_ordered([found[r] for r in order[:cut]], values[:cut], apart)
+            yield _tie_ordered([found[r] for r in order[:cut]], values[:cut], first[:cut])
         if last:
             return
         count = n - a + len(leaves)  # the items in (lo, b]; the root is the one at or below 0
@@ -151,23 +162,25 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
         width = min(4 * width, math.log1p(STREAM_PIECE / total) / growth) if growth > 0 else 4 * width
 
 
-def _tie_ordered(exps: list, values: np.ndarray, apart: np.ndarray):
-    """GIntegers from sorted values and their exponents, each tie cluster (the items
-    within LOG_TIE_TOL of its first) in lexicographic order of exponent vectors, each
-    built as it is read.  apart[q] says whether items q and q + 1 are more than
-    LOG_TIE_TOL apart: a run of items linked by smaller gaps is one cluster unless
-    it is wider than LOG_TIE_TOL."""
-    first = np.concatenate([[True], apart[: len(values) - 1]])  # where a cluster starts
-    runs = np.flatnonzero(first)
-    ends = np.append(runs[1:], len(values))
-    wide = values[ends - 1] - values[runs] > LOG_TIE_TOL
-    for start, end in zip(runs[wide].tolist(), ends[wide].tolist()):
-        run, k = values[start:end].tolist(), 0
-        while k < len(run):  # clusters anchored at their first item, greedily
-            first[start + k], stop = True, k + 1
-            while stop < len(run) and run[stop] - run[k] <= LOG_TIE_TOL:
-                stop += 1
-            k = stop
+def _anchors(values: np.ndarray) -> np.ndarray:
+    """Which of the sorted values start a tie cluster, greedily: the first, then each
+    first value more than LOG_TIE_TOL above the last start."""
+    run, starts, k = values.tolist(), [], 0
+    while k < len(run):
+        starts.append(k)
+        stop = k + 1
+        while stop < len(run) and run[stop] - run[k] <= LOG_TIE_TOL:
+            stop += 1
+        k = stop
+    first = np.zeros(len(run), bool)
+    first[starts] = True
+    return first
+
+
+def _tie_ordered(exps: list, values: np.ndarray, first: np.ndarray):
+    """GIntegers from sorted values and their exponents, each tie cluster (from one
+    `first` item to the next) in lexicographic order of exponent vectors, each
+    built as it is read."""
     tied = np.flatnonzero(~first | ~np.append(first[1:], True))  # the items in clusters of 2 or more
     if len(tied):
         order, rows = np.arange(len(values)), tied.tolist()

@@ -702,6 +702,40 @@ def test_first_item_builds_one_segment(monkeypatch, make):
     assert sum(leaves) <= 2 * counting.STREAM_PIECE
 
 
+def test_one_long_tie_run_is_sorted_in_segments(monkeypatch):
+    """Here the gaps between items are about log(1 + 1e-13) < LOG_TIE_TOL, so the
+    whole stream of 1e5 items is one run of items linked by tie-sized gaps, cut by
+    the greedy rule into clusters of about ten.  Each segment sorts about
+    STREAM_PIECE new items and the open clusters held from the one before, not the
+    whole run so far; and almost every item here is a node with no leaves, so each
+    segment searches its own nodes and the earlier ones with leaves left, not
+    every node up to its edge."""
+    system = from_list([1 + 1e-13, 2.0], 2.0)
+    bound = math.exp(1e5 * math.log1p(1e-13))
+    count_N(system, bound)  # the nodes, walked once per system
+    sorted_sizes, searched = [], []
+    anchors, searchsorted = counting._anchors, np.searchsorted
+
+    def counted_anchors(values):
+        sorted_sizes.append(len(values))
+        return anchors(values)
+
+    def counted_searchsorted(a, v, *args):
+        searched.append(np.size(v))
+        return searchsorted(a, v, *args)
+
+    monkeypatch.setattr(counting, "_anchors", counted_anchors)
+    monkeypatch.setattr(counting.np, "searchsorted", counted_searchsorted)
+    got = items(stream_gintegers(system, bound))
+    monkeypatch.undo()
+    assert got == table_stream(system, bound)
+    assert len(got) > 10**5 and len(sorted_sizes) > 100
+    assert max(sorted_sizes) <= 8 * counting.STREAM_PIECE
+    assert sum(sorted_sizes) <= 2 * len(got)
+    # the count and the leaf ranges search every node: 4 * len(got) values here
+    assert sum(searched) <= 6 * len(got)
+
+
 def test_stream_caps(monkeypatch):
     system = rational_primes(100)
     monkeypatch.setattr(counting, "MATERIALISE_WARN_CAP", 50)
