@@ -165,14 +165,12 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
 def _anchors(values: np.ndarray) -> np.ndarray:
     """Which of the sorted values start a tie cluster, greedily: the first, then each
     first value more than LOG_TIE_TOL above the last start."""
-    run, starts, k = values.tolist(), [], 0
-    while k < len(run):
-        starts.append(k)
-        stop = k + 1
-        while stop < len(run) and run[stop] - run[k] <= LOG_TIE_TOL:
-            stop += 1
-        k = stop
-    first = np.zeros(len(run), bool)
+    starts, anchor = [], -math.inf
+    for k, x in enumerate(values.tolist()):
+        if x - anchor > LOG_TIE_TOL:
+            starts.append(k)
+            anchor = x
+    first = np.zeros(len(values), bool)
     first[starts] = True
     return first
 
@@ -269,7 +267,7 @@ class _Nodes:
     """
 
     def __init__(self, top: float, batches: list, logs: np.ndarray):
-        self.top = top
+        self.top, self.logs = top, logs
         cols = list(zip(*batches))  # v, i, mid, hi, length, src per batch
         self.v, self.i, length, src = (np.concatenate(cols[k]) for k in (0, 1, 4, 5))
         self._links = (length, src, *(np.cumsum([0, *map(len, cols[k])]) for k in (0, 4)))
@@ -287,6 +285,15 @@ class _Nodes:
         rows = np.empty_like(self.i)
         rows[_preorder(self.i, *self._links)] = np.arange(len(rows))
         return rows
+
+    @functools.cached_property
+    def preorder_at_top(self) -> tuple:
+        """`at(logs, self.top, preorder=True)`, read-only: the Dirichlet sum to the
+        horizon reads it at every s."""
+        out = self.at(self.logs, self.top, preorder=True)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def keep(self, top: float) -> np.ndarray:
         """Which nodes are in the walk to top <= self.top."""
@@ -421,7 +428,8 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     the depth-first walk's, bit for bit.
     """
     top = log_bound + tol
-    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(system._logs, top, preorder=True)
+    nodes = _nodes_or_walk(system, log_bound, tol)
+    v, _, mid, hi = nodes.preorder_at_top if top == nodes.top else nodes.at(system._logs, top, preorder=True)
     logs = system._logs[: np.searchsorted(system._logs, top, "right")]
     prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
     nv, leaves = np.exp(-s * v), prefix[hi] - prefix[mid]
@@ -687,7 +695,7 @@ class CountingReport:
 
 def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     """One-pass counting report over a sorted grid of query points."""
-    grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
+    grid = np.sort(np.fromiter(map(float, grid), float))
     if not np.isfinite(grid).all():  # NaN has no place in an order and passes every range check
         raise ParameterError("grid points must be finite numbers")
     if len(grid) == 0:
@@ -698,7 +706,8 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     _check_bound(system, top, "grid maximum")
 
     vals_log = _sorted_logs_leq(system, top)
-    tols = np.array([log_tolerance(x) for x in grid])
+    # log_tolerance at each point, bit for bit: math.log, as numpy's log may round otherwise
+    tols = LOG_TIE_TOL * np.maximum(1.0, np.fromiter(map(math.log, grid.tolist()), float, len(grid)))
     grid_log = np.log(grid) + tols
     N = np.searchsorted(vals_log, grid_log, side="right")
 

@@ -14,9 +14,11 @@ from all g-integer values up to twice its point; it now takes the values near
 its window from the nodes, and the least one above it.  orderings_coincide
 searched each bracket f_k(n) of two induced orders by doubling and bisection;
 it now takes them in closed form.  psi was a loop over the primes; it is now
-one array expression.  The sieve, the Gaussian system, the validation of a
-system's primes and the prime-power table were loops; they are now array
-operations.  All must give the same floats, and the same errors.
+one array expression.  counting_report sorted its grid with `sorted` and took
+`log_tolerance` point by point; it now does both over arrays.  The sieve, the
+Gaussian system, the validation of a system's primes and the prime-power
+table were loops; they are now array operations.  All must give the same
+floats, and the same errors.
 """
 import cmath
 import heapq
@@ -514,6 +516,38 @@ def test_nodes_grow_to_the_square_of_the_bound():
     assert counting._node_cell(horizon)[0][0].top == math.log(1000) + log_tolerance(1000)
 
 
+@pytest.mark.parametrize("make", [rational_primes, gaussian_system])
+def test_the_horizon_read_is_kept_on_its_nodes(make):
+    """The Dirichlet sum at the nodes' own top reads the pre-order (v, i, mid, hi)
+    each `_Nodes` keeps, read-only.  First used at a low bound, the system reads it
+    at the top of its first nodes, then grows new nodes to the horizon, which keep
+    their own; a lower top is still cut from the nodes by `keep`."""
+    system = make(10**4)
+    logs = system.log_primes
+    for s in (2.0 + 0j, 1.5 + 14.134725j, 3.0 - 1000.0j):
+        assert_same_power_sum(system, math.log(50.0), log_tolerance(50.0), s)
+        first = counting._node_cell(system)[0][0]
+        assert first.top < math.log(system.limit)
+        assert_same_power_sum(system, first.top, 0.0, s)
+    assert "preorder_at_top" in vars(first)
+    for s in (2.0 + 0j, 1.5 + 14.134725j, 3.0 - 1000.0j):
+        assert_same_power_sum(system, math.log(system.limit), log_tolerance(system.limit), s)
+    grown = counting._node_cell(system)[0][0]
+    assert grown is not first and grown.top == math.log(system.limit) + log_tolerance(system.limit)
+    kept = grown.preorder_at_top
+    assert len(kept[0]) == len(grown.v) > len(first.preorder_at_top[0])
+    for a in kept:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    for top in (first.top, math.nextafter(grown.top, 0.0)):
+        v, i, mid, hi = grown.at(logs, top, preorder=True)
+        rows = grown.preorder[grown.keep(top)[grown.preorder]]
+        assert v.tobytes() == grown.v[rows].tobytes() and i.tobytes() == grown.i[rows].tobytes()
+        want = np.array(list(dfs_walk(system, top, 0.0))).T
+        assert np.array([v, i, mid, hi]).tobytes() == want.tobytes()
+
+
 def test_a_system_over_the_node_cap_keeps_none():
     system = from_list([1.001, 1.5, 2.0, 3.1], 3e4)
     assert horizon_nodes(system) is None
@@ -782,6 +816,107 @@ def test_psi_is_the_prime_loop_on_fixed_systems(system):
     points = [1.0, 1.5, 2.0, 2.0 - 1e-13, limit] + [1 + (limit - 1) * k / 97 for k in range(97)]
     for x in points:
         assert psi(system, x) == reference_psi(system, x), x
+
+
+def reference_report(system, grid):
+    """counting_report as it was: the grid sorted by Python, log_tolerance at each point."""
+    grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
+    if not np.isfinite(grid).all():
+        raise ParameterError("grid points must be finite numbers")
+    if len(grid) == 0:
+        raise ParameterError("empty grid")
+    if grid[0] < 1:
+        raise ParameterError("grid points must be >= 1")
+    top = float(grid[-1])
+    counting._check_bound(system, top, "grid maximum")
+    vals_log = counting._sorted_logs_leq(system, top)
+    tols = np.array([log_tolerance(x) for x in grid])
+    grid_log = np.log(grid) + tols
+    N = np.searchsorted(vals_log, grid_log, side="right")
+    pi_counts = np.searchsorted(system.log_primes, grid_log, side="right")
+    L, _, cum = counting._prime_powers(system, top)
+    psi_vals = np.concatenate([[0.0], cum])[np.searchsorted(L, grid_log, side="right")]
+    centre = grid_log - tols
+    lo = np.searchsorted(vals_log, centre - 2 * tols, side="left")
+    hi = np.searchsorted(vals_log, centre + 2 * tols, side="right")
+    xs, ns = grid[len(grid) // 2 :], N[len(grid) // 2 :]
+    rho_hat = float(np.dot(ns, xs) / np.dot(xs, xs)) if np.dot(xs, xs) > 0 else 0.0
+    return grid, N, pi_counts, psi_vals, rho_hat, grid[hi > lo].tolist()
+
+
+def report_fields(report):
+    """A report's fields, by bytes."""
+    if isinstance(report, tuple):
+        grid, N, pi_counts, psi_vals, rho_hat, hits = report
+    else:
+        grid, N, pi_counts, psi_vals = report.grid, report.N, report.pi, report.psi
+        rho_hat, hits = report.rho_hat, report.boundary_hits
+    arrays = [(a.dtype.str, a.tobytes()) for a in (grid, N, pi_counts, psi_vals)]
+    return arrays, rho_hat.hex(), [x.hex() for x in hits]
+
+
+def refusal(report, system, grid):
+    """The error a report raises, by type and message."""
+    with pytest.raises(Exception) as info:
+        report(system, grid)
+    return info.type, str(info.value)
+
+
+def ulps(x, k):
+    """x moved k ulps."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+E_POINTS = [math.e, math.nextafter(math.e, 0.0), math.nextafter(math.e, math.inf)]
+
+
+@st.composite
+def systems_and_grids(draw):
+    """A system and grid points up to its horizon: integers, g-integer tops, points
+    a few ulps either side of them and points up to twice log_tolerance either side
+    of them in the log domain (the edges of the count and of the boundary band),
+    points in [1, e], and e and its float neighbours, where log x crosses 1 in
+    log_tolerance's max."""
+    system, _ = draw(systems_and_bounds())
+    values = g_integer_values(system, system.limit).tolist()
+    point = st.one_of(
+        st.integers(1, int(system.limit)).map(float),
+        st.builds(ulps, st.sampled_from(values), st.integers(-3, 3)),
+        st.builds(
+            lambda v, f: v * math.exp(f * log_tolerance(v)),
+            st.sampled_from(values),
+            st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        ),
+        st.floats(1.0, math.e),
+        st.sampled_from(E_POINTS),
+    )
+    grid = draw(st.lists(point, min_size=1, max_size=40))
+    return system, [min(system.limit, max(1.0, x)) for x in grid]
+
+
+@given(systems_and_grids())
+def test_counting_report_is_the_per_point_report(case):
+    system, grid = case
+    want = report_fields(reference_report(system, grid))
+    for given_as in (list, tuple, iter, np.array):
+        assert report_fields(counting.counting_report(system, given_as(grid))) == want
+
+
+REFUSED_GRIDS = [[5.0, math.nan, 10.0], [5.0, math.inf], [-math.inf, 5.0], [], [0.5, 3.0], [2.0, 2000.0],
+                 ["abc", 2.0], [None]]
+
+
+def test_counting_report_refuses_as_the_per_point_report():
+    """NaN, infinities, an empty grid, a point below 1 or past the horizon, entries
+    that are not numbers and a grid that is not iterable: the same error and message."""
+    system = rational_primes(1000)
+    for grid in REFUSED_GRIDS:
+        for given_as in (list, tuple, iter):
+            want = refusal(reference_report, system, given_as(grid))
+            assert refusal(counting.counting_report, system, given_as(grid)) == want
+    assert refusal(counting.counting_report, system, 5.0) == refusal(reference_report, system, 5.0)
 
 
 def reference_sieve(n):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from beurling import (
     rational_primes,
 )
 from beurling import systems
+from beurling.systems import G_ONE, GInteger
 from beurling.errors import (
     EmptySystemError,
     InvalidExponentError,
@@ -155,6 +159,54 @@ def test_g_integer_log_additivity():
             1.0, abs(w.log_value)
         )
         assert abs(sum(a * s.log_primes[i] for i, a in w.exponents) - w.log_value) <= 1e-9
+
+
+def test_g_integer_compares_hashes_and_prints_as_a_frozen_dataclass():
+    g = GInteger(((0, 2), (3, 1)), 1.5)
+    assert g == GInteger(((0, 2), (3, 1)), 1.5) == GInteger(exponents=((0, 2), (3, 1)), log_value=1.5)
+    assert g != GInteger(((0, 2), (3, 1)), 2.5) and g != GInteger(((0, 3),), 1.5)
+    assert g != (g.exponents, g.log_value)
+    assert hash(g) == hash((g.exponents, g.log_value))
+    assert len({g, GInteger(((0, 2), (3, 1)), 1.5)}) == 1
+    assert repr(g) == "GInteger(exponents=((0, 2), (3, 1)), log_value=1.5)"
+    assert repr(G_ONE) == "GInteger(exponents=(), log_value=0.0)"
+
+
+@pytest.mark.parametrize("name", ["exponents", "log_value", "other"])
+def test_g_integer_refuses_every_assignment_and_deletion(name):
+    g = GInteger(((1, 1),), 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=rf"^cannot assign to field '{name}'$"):
+        setattr(g, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=rf"^cannot delete field '{name}'$"):
+        delattr(g, name)
+    assert g == GInteger(((1, 1),), 0.5)
+
+
+def test_g_integer_copies_and_pickles():
+    g = GInteger(((0, 2), (3, 1)), 1.5)
+    copies = [copy.copy(g), copy.deepcopy(g)]
+    copies += [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for h in copies:
+        assert type(h) is GInteger and h == g
+        assert (h.exponents, h.log_value.hex()) == (g.exponents, g.log_value.hex())
+    assert pickle.loads(pickle.dumps(G_ONE)) == G_ONE
+
+
+def test_g_integer_is_a_dataclass():
+    g = GInteger(((0, 2), (3, 1)), 1.5)
+    assert dataclasses.is_dataclass(g)
+    assert [f.name for f in dataclasses.fields(g)] == ["exponents", "log_value"]
+    assert dataclasses.asdict(g) == {"exponents": ((0, 2), (3, 1)), "log_value": 1.5}
+    h = dataclasses.replace(g, log_value=2.5)
+    assert h == GInteger(((0, 2), (3, 1)), 2.5) and g.log_value == 1.5
+
+
+def test_g_integer_properties():
+    assert G_ONE == GInteger((), 0.0)
+    assert G_ONE.is_one and not G_ONE.is_prime_power() and G_ONE.value == 1.0
+    p = GInteger(((2, 3),), 3 * math.log(5))
+    assert not p.is_one and p.is_prime_power() and p.value == math.exp(3 * math.log(5))
+    assert not GInteger(((0, 1), (2, 1)), math.log(10)).is_prime_power()
 
 
 def test_prime_file_round_trip(tmp_path):
