@@ -841,18 +841,14 @@ def reference_report(system, grid):
     hi = np.searchsorted(vals_log, centre + 2 * tols, side="right")
     xs, ns = grid[len(grid) // 2 :], N[len(grid) // 2 :]
     rho_hat = float(np.dot(ns, xs) / np.dot(xs, xs)) if np.dot(xs, xs) > 0 else 0.0
-    return grid, N, pi_counts, psi_vals, rho_hat, grid[hi > lo].tolist()
+    hits = grid[hi > lo].tolist()
+    return counting.CountingReport(grid, N, pi_counts, psi_vals, rho_hat, hits, system.label)
 
 
 def report_fields(report):
     """A report's fields, by bytes."""
-    if isinstance(report, tuple):
-        grid, N, pi_counts, psi_vals, rho_hat, hits = report
-    else:
-        grid, N, pi_counts, psi_vals = report.grid, report.N, report.pi, report.psi
-        rho_hat, hits = report.rho_hat, report.boundary_hits
-    arrays = [(a.dtype.str, a.tobytes()) for a in (grid, N, pi_counts, psi_vals)]
-    return arrays, rho_hat.hex(), [x.hex() for x in hits]
+    arrays = [(a.dtype.str, a.tobytes()) for a in (report.grid, report.N, report.pi, report.psi)]
+    return arrays, report.rho_hat.hex(), [x.hex() for x in report.boundary_hits], report.label
 
 
 def refusal(report, system, grid):
