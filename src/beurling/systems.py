@@ -113,8 +113,8 @@ class GInteger:
     The empty tuple is the g-integer 1 (log value 0).
 
     Every sorted stream item is one, so it is slotted and its `__init__` sets
-    the two slots directly: about 0.6 us a construction against 1.0 us for the
-    generated one.  Instances have no `__dict__` and take no weak references.
+    the two slots directly, at about 60% of the generated one's cost (README).
+    Instances have no `__dict__` and take no weak references.
     """
 
     __slots__ = ("exponents", "log_value")
