@@ -585,6 +585,9 @@ def main(argv=None) -> int:
     except (BeurlingError, OSError, UnicodeDecodeError) as exc:  # domain errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation it could not make; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -25,11 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import nearest_gintegers, prime_power_table, psi as psi_exact
+from .counting import PIECE, nearest_gintegers, prime_power_table, psi as psi_exact
 from .errors import IncompleteSystemError, ParameterError, UnstablePointError
 from .systems import GPrimeSystem
 
-MAX_NODES = 10**7  # quadrature nodes of one contour, at most: bounds its memory
+# quadrature nodes of one contour, at most: this bounds the grid, not the phase tables,
+# which hold about 2 * K * terms * 16 bytes (K ~ sqrt(nodes), terms = prime powers up to
+# min(x^2, limit))
+MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,38 +92,52 @@ class PerronResult:
     nodes: int
 
 
+def _phases(u, L, w=None) -> np.ndarray:
+    """The table exp(-i u_j L_k) (times w_k when given), PIECE elements at a time.
+
+    Each block is the same elementwise expression as the whole table would
+    be, so the floats do not depend on the block size; only the table itself
+    is table-sized.
+    """
+    table = np.empty((len(u), len(L)), complex)
+    step = max(1, PIECE // max(1, len(L)))
+    for a in range(0, len(u), step):
+        block = table[a : a + step]
+        np.exp(-1j * np.outer(u[a : a + step], L), out=block)
+        if w is not None:
+            block *= w
+    return table
+
+
 def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
     """phi(c + i t_j) for a uniform grid t, via a phase-factorised product.
 
     With t_j = t_0 + j h and j = a*K + b the phase splits into a coarse and a
     fine factor, so only O((n/K + K) * terms) exponentials are needed; the
-    rest is one complex matrix product per shard.
+    rest is one complex matrix product per shard, written into one output.
     """
     n = len(t)
     h = t[1] - t[0] if n > 1 else 0.0
     K = min(4096, max(64, int(math.sqrt(n)))) if n > 1 else 1
     rows = (n + K - 1) // K
-    B = np.exp(-1j * np.outer(np.arange(K) * h, L))
+    B = _phases(np.arange(K) * h, L)
+    out = np.empty((rows, K), complex)
 
-    def shard(r0: int, r1: int) -> np.ndarray:
-        coarse = t[0] + np.arange(r0, r1) * (K * h)
-        A = np.exp(-1j * np.outer(coarse, L)) * wc
-        return (A @ B.T).ravel()
+    # One product per shard, never split further: numpy sends a one-row
+    # product through gemv rather than gemm, and gemv rounds differently.
+    def shard(r0: int, r1: int) -> None:
+        A = _phases(t[0] + np.arange(r0, r1) * (K * h), L, wc)
+        np.matmul(A, B.T, out=out[r0:r1])
 
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or rows < 4:
-        out = shard(0, rows)
+        shard(0, rows)
     else:
         bounds = np.linspace(0, rows, threads + 1, dtype=int)
-        pieces = [None] * threads
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(shard, bounds[i], bounds[i + 1]) for i in range(threads)
-            ]
-            for i, fut in enumerate(futures):
-                pieces[i] = fut.result()
-        out = np.concatenate(pieces)
-    return out[:n]
+            for fut in [pool.submit(shard, bounds[i], bounds[i + 1]) for i in range(threads)]:
+                fut.result()
+    return out.ravel()[:n]
 
 
 def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> PerronResult:
@@ -158,7 +175,9 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
     t = np.linspace(-T, T, n)
     phi_line = _phi_on_line(L, wc.astype(complex), t, threads=threads)
     s = c + 1j * t
+    # formed out of place on purpose: np.multiply(phi_line, e, out=e) changed last bits
     integrand = phi_line * np.exp(s * lx) / s
+    del phi_line, s  # the line is not needed past here; free it before the budget's arrays
     integral_fine = np.trapezoid(integrand, t) / (2 * math.pi)
     integral_coarse = np.trapezoid(integrand[::2], t[::2]) / (2 * math.pi)
     quad_est = 2.0 * abs(integral_fine - integral_coarse) / 3.0

@@ -117,6 +117,28 @@ def test_domain_error_one_line_exit_1(capsys, argv, tmp_path, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 714. MiB for an array"), "Unable to allocate 714. MiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_allocation_failure_one_line_exit_1(capsys, monkeypatch, exc, message):
+    import beurling.perron
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(beurling.perron, "perron_psi", fail)
+    code, out, err = run_cli(
+        capsys, *"perron --system builtin:rationals --limit 1000 --x 400.5 --T 100".split()
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = (
         "zeta", "--system", "builtin:rationals", "--limit", "10000",

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from beurling import from_list, gap_window, psi, rational_primes
+from beurling import from_list, gap_window, power_system, psi, rational_primes
+from beurling.counting import PIECE, prime_power_table
 from beurling.errors import ParameterError, UnstablePointError
-from beurling.perron import PerronParams, perron_convergence_scan, perron_psi
+from beurling.perron import PerronParams, _phi_on_line, perron_convergence_scan, perron_psi
 
 
 def test_single_prime_recovery():
@@ -91,12 +94,79 @@ def test_scan_single_prime():
     assert scan.errors()[-1] <= 1e-2
 
 
+def _hex(value):
+    if isinstance(value, tuple):
+        return tuple(_hex(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
 def test_threads_do_not_change_result(rp1e4):
     params = PerronParams(x=500.5, T=2e3)
-    r1 = perron_psi(rp1e4, params, threads=1)
-    r4 = perron_psi(rp1e4, params, threads=4)
-    assert r1.value == r4.value
-    assert r1.imag_residual == r4.imag_residual
+    one = _hex(astuple(perron_psi(rp1e4, params, threads=1)))
+    for threads in (2, 4):
+        assert _hex(astuple(perron_psi(rp1e4, params, threads=threads))) == one, threads
+
+
+def _line_inputs(system, x, T):
+    """perron_psi's L, wc and grid t, and the K of its phase-factorised product."""
+    params = PerronParams(x=x, T=T)
+    L, W = prime_power_table(system, min(x * x, system.limit))
+    wc = (W * np.exp(-params.c * L)).astype(complex)
+    n = int(math.ceil(2 * T / params.step))
+    n += n % 2 + 1
+    return L, wc, np.linspace(-T, T, n), min(4096, max(64, int(math.sqrt(n))))
+
+
+def _whole_table_line(L, wc, t, K):
+    """_phi_on_line as whole-table expressions: each phase table at once, one product."""
+    h = t[1] - t[0]
+    rows = (len(t) + K - 1) // K
+    B = np.exp(-1j * np.outer(np.arange(K) * h, L))
+    A = np.exp(-1j * np.outer(t[0] + np.arange(rows) * (K * h), L)) * wc
+    return (A @ B.T).ravel()[: len(t)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize(
+    "case, x, T",
+    [
+        ("one row", 150.5, 1.0),  # a one-row product, which numpy sends through gemv
+        ("K = 64", 150.5, 100.0),
+        ("6 rows per block", 400.5, 100.0),  # 9,700 terms: PIECE // 9700 = 6
+        ("repeated primes", 150.5, 300.0),
+        ("power system", 150.5, 300.0),
+    ],
+)
+def test_phase_tables_built_in_place_are_the_whole_tables(rp1e4, rp1e5, case, x, T, threads):
+    system = {
+        "one row": rp1e4,
+        "K = 64": rp1e4,
+        "6 rows per block": rp1e5,
+        "repeated primes": from_list([2.0, 2.0, 3.0, 3.0, 5.0, 7.5], limit=2000),
+        "power system": power_system(rp1e4, 1.5),
+    }[case]
+    L, wc, t, K = _line_inputs(system, x, T)
+    if case == "one row":
+        assert len(t) <= K
+    if case == "6 rows per block":
+        assert PIECE // len(L) == 6
+    want = _whole_table_line(L, wc, t, K)
+    got = _phi_on_line(L, wc, t, threads=threads)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_the_phase_tables_are_the_peak(rp1e5):
+    """Two K x terms phase tables, the output and one block: no table-sized temporaries."""
+    params = PerronParams(x=1000.5, T=1e3)
+    L, _, _, K = _line_inputs(rp1e5, params.x, params.T)
+    perron_psi(rp1e5, params)  # the prime-power table and the gap scan's nodes are kept
+    tracemalloc.start()
+    try:
+        perron_psi(rp1e5, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * K * len(L) * 16
 
 
 @pytest.mark.parametrize("x", [100.5, np.float64(100.5)], ids=["float", "numpy-float"])
