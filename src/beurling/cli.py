@@ -142,17 +142,14 @@ def _load_system(args, spec: str | None) -> GPrimeSystem:
     return system
 
 
-def _manifest(args, command: str) -> dict:
+def _emit(args, header: list[str], rows: list[list], extra: dict | None = None):
+    """Write the rows under a manifest: the tool, its version and the resolved
+    options, the subcommand among them."""
     skip = {"func", "out", "config"}
-    resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
-    return {"tool": "beurling", "version": __version__, "command": command, **{
-        k: (v if isinstance(v, (int, float, str, bool)) else str(v)) for k, v in resolved.items()
+    manifest = {"tool": "beurling", "version": __version__, **{
+        k: (v if isinstance(v, (int, float, str, bool)) else str(v))
+        for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }}
-
-
-def _emit(args, manifest: dict, header: list[str], rows: list[list], extra: dict | None = None):
     if args.format == "json":
         payload = {
             "manifest": manifest,
@@ -191,7 +188,7 @@ def cmd_gen(args) -> int:
     for g in stream_gintegers(system, args.bound):
         exps = " ".join(f"{i}^{a}" for i, a in g.exponents) or "1"
         rows.append([_fmt(g.value), _fmt(g.log_value), exps])
-    _emit(args, _manifest(args, "gen"), ["value", "log_value", "exponents"], rows)
+    _emit(args, ["value", "log_value", "exponents"], rows)
     return 0
 
 
@@ -203,7 +200,7 @@ def cmd_count(args) -> int:
         for x, n, p, ps in zip(report.grid, report.N, report.pi, report.psi)
     ]
     extra = {"rho_hat": _fmt(report.rho_hat)}
-    _emit(args, _manifest(args, "count"), ["x", "N", "pi", "psi"], rows, extra)
+    _emit(args, ["x", "N", "pi", "psi"], rows, extra)
     return 0
 
 
@@ -245,7 +242,7 @@ def _s_rows(texts: list[str], evaluate, threads: int = 1) -> list[list[str]]:
 def cmd_zeta(args) -> int:
     system = _load_system(args, args.system)
     rows = _s_rows(args.s, lambda s: ZETA_METHODS[args.method](system, s, args.cutoff), args.threads)
-    _emit(args, _manifest(args, "zeta"), S_HEADER + ["tail_bound"], rows)
+    _emit(args, S_HEADER + ["tail_bound"], rows)
     return 0
 
 
@@ -280,7 +277,7 @@ def cmd_perron(args) -> int:
             "budget_near": _fmt(res.budget.near_term),
             "budget_quadrature": _fmt(res.budget.quadrature),
         }
-    _emit(args, _manifest(args, "perron"), header, rows, extra)
+    _emit(args, header, rows, extra)
     return 0
 
 
@@ -314,7 +311,7 @@ def cmd_mellin(args) -> int:
             r = partition_F(system, kernel, x)
             rows.append([_fmt(x), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)])
         header = ["x", "F_re", "F_im", "tail_bound"]
-    _emit(args, _manifest(args, "mellin"), header, rows)
+    _emit(args, header, rows)
     return 0
 
 
@@ -361,13 +358,7 @@ def cmd_fe_check(args) -> int:
         rep = check_fe_mellin(spec1, spec2, _parse_list(_parse_complex)(args.s_grid))
         extra["mellin_max_residual"] = _fmt(rep.max_residual)
         extra["mellin_skipped"] = ";".join(str(s) for s, _ in rep.skipped) or "none"
-    _emit(
-        args,
-        _manifest(args, "fe-check"),
-        ["x", "residual_re", "residual_im", "tail_budget", "inconclusive"],
-        rows,
-        extra,
-    )
+    _emit(args, ["x", "residual_re", "residual_im", "tail_budget", "inconclusive"], rows, extra)
     return 0
 
 
@@ -395,13 +386,7 @@ def cmd_order(args) -> int:
             for k, (a, p) in enumerate(zip(rec.alpha, rec.system.primes))
         ]
         extra = {"limit": _fmt(rec.system.limit), "p1": _fmt(rec.p1)}
-        _emit(
-            args,
-            _manifest(args, "order"),
-            ["k", "alpha", "radius", "f", "prime"],
-            rows,
-            extra,
-        )
+        _emit(args, ["k", "alpha", "radius", "f", "prime"], rows, extra)
         return 0
     # coincide
     s1 = _load_system(args, args.system)
@@ -415,7 +400,7 @@ def cmd_order(args) -> int:
             res.checked,
         ]
     ]
-    _emit(args, _manifest(args, "order"), ["coincide", "lambda", "witness", "checked"], rows)
+    _emit(args, ["coincide", "lambda", "witness", "checked"], rows)
     return 0
 
 
@@ -431,7 +416,7 @@ def cmd_axioms(args) -> int:
         ["A3", a3, str(rep.a3_counterexample or "")],
     ]
     extra = {"all_pass": str(rep.all_pass).lower()}
-    _emit(args, _manifest(args, "axioms"), ["axiom", "ok", "counterexample"], rows, extra)
+    _emit(args, ["axiom", "ok", "counterexample"], rows, extra)
     return 0
 
 
@@ -466,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, system=True):
+    def add_common(p):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--json", dest="format", action="store_const", const="json",
                        help="shorthand for --format json")
@@ -474,12 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_thread_count, default=None)
         p.add_argument("--config", default=None,
                        help="key=value file merged under the flags (flags win)")
-        if system:
-            p.add_argument("--system", default=None, type=_checked(_parse_system),
-                           help="builtin:rationals | builtin:gaussian | list:v1,v2 | file:PATH")
-            p.add_argument("--limit", type=_real, default=None)
-            p.add_argument("--power", type=_real, default=None,
-                           help="renormalise by the power transform at load time")
+        p.add_argument("--system", default=None, type=_checked(_parse_system),
+                       help="builtin:rationals | builtin:gaussian | list:v1,v2 | file:PATH")
+        p.add_argument("--limit", type=_real, default=None)
+        p.add_argument("--power", type=_real, default=None,
+                       help="renormalise by the power transform at load time")
 
     p = sub.add_parser("gen", help="emit sorted g-integers up to a bound")
     add_common(p)

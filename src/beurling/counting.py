@@ -64,7 +64,7 @@ class GIntegerStream:
         lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
         self.source, self.bound = source, bound
         nodes = _nodes_or_walk(source, lb, tol)
-        self._items = itertools.chain.from_iterable(_segments(source._logs, lb + tol, nodes))
+        self._items = itertools.chain.from_iterable(_segments(lb + tol, nodes))
 
     def __iter__(self):
         return self
@@ -73,7 +73,7 @@ class GIntegerStream:
         return next(self._items)
 
 
-def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
+def _segments(top: float, nodes: _Nodes):
     """The GIntegers of the walk to `top`, sorted, as one list per log segment (lo, b].
 
     A segment holds the nodes with lo < v <= b and the leaves whose computed float
@@ -90,7 +90,7 @@ def _segments(logs: np.ndarray, top: float, nodes: _Nodes):
     no reference to the stream, so a dropped stream is freed at once, not by the
     cycle collector.
     """
-    rows = np.flatnonzero(nodes.keep(top))
+    logs, rows = nodes.logs, np.flatnonzero(nodes.keep(top))
     rows = rows[np.argsort(nodes.v[rows], kind="stable")]  # a parent sorts before its children
     v, i = nodes.v[rows], nodes.i[rows]
     mid, hi = _leaf_range(logs, top, v, i)
@@ -288,9 +288,9 @@ class _Nodes:
 
     @functools.cached_property
     def preorder_at_top(self) -> tuple:
-        """`at(logs, self.top, preorder=True)`, read-only: the Dirichlet sum to the
+        """`at(self.top, preorder=True)`, read-only: the Dirichlet sum to the
         horizon reads it at every s."""
-        out = self.at(self.logs, self.top, preorder=True)
+        out = self.at(self.top, preorder=True)
         for a in out:
             a.flags.writeable = False
         return out
@@ -299,13 +299,13 @@ class _Nodes:
         """Which nodes are in the walk to top <= self.top."""
         return self.step <= (top - self.vpar) / 2
 
-    def at(self, logs: np.ndarray, top: float, preorder: bool = False):
+    def at(self, top: float, preorder: bool = False):
         """(v, i, mid, hi) of the nodes in the walk to top <= self.top, in walk order
         or in the depth-first pre-order."""
         keep = self.keep(top)
         rows = self.preorder[keep[self.preorder]] if preorder else keep
         v, i = self.v[rows], self.i[rows]
-        return v, i, *_leaf_range(logs, top, v, i)
+        return v, i, *_leaf_range(self.logs, top, v, i)
 
 
 @per_system
@@ -360,7 +360,7 @@ def _count_leq(system: GPrimeSystem, log_bound: float, tol: float, stop: int | N
     """
     nodes = _nodes(system, log_bound, tol)
     if nodes is not None:
-        v, _, mid, hi = nodes.at(system._logs, log_bound + tol)
+        v, _, mid, hi = nodes.at(log_bound + tol)
         return len(v) + int((hi - mid).sum())
     n = 0
     for v, _, mid, hi, *_ in _batches(system, log_bound, tol):
@@ -373,7 +373,7 @@ def _count_leq(system: GPrimeSystem, log_bound: float, tol: float, stop: int | N
 def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
     """Unsorted log values of all exponent vectors <= the bound: the nodes in walk
     order, then their leaves."""
-    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(system._logs, log_bound + tol)
+    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(log_bound + tol)
     out, row = np.concatenate([v, np.empty(int((hi - mid).sum()))]), len(v)
     for k, j in _spans(mid, hi, PIECE):
         out[row : row + len(k)] = v[k] + system._logs[j]
@@ -429,7 +429,7 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     """
     top = log_bound + tol
     nodes = _nodes_or_walk(system, log_bound, tol)
-    v, _, mid, hi = nodes.preorder_at_top if top == nodes.top else nodes.at(system._logs, top, preorder=True)
+    v, _, mid, hi = nodes.preorder_at_top if top == nodes.top else nodes.at(top, preorder=True)
     logs = system._logs[: np.searchsorted(system._logs, top, "right")]
     prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
     nv, leaves = np.exp(-s * v), prefix[hi] - prefix[mid]
@@ -609,7 +609,7 @@ def nearest_gintegers(system: GPrimeSystem, x: float, halfwidth: float = 4.0) ->
     far = min(system.limit, 2 * x + halfwidth)
     lb, tol = _capped_bound(system, far, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
     logs = system._logs
-    v, _, mid, hi = _nodes_or_walk(system, lb, tol).at(logs, lb + tol)
+    v, _, mid, hi = _nodes_or_walk(system, lb, tol).at(lb + tol)
     lo, up = x - halfwidth, x + halfwidth
     a = math.log(lo) - 1e-9 if lo > 0 else -math.inf
     b = math.log(up) + 1e-9
@@ -621,17 +621,20 @@ def nearest_gintegers(system: GPrimeSystem, x: float, halfwidth: float = 4.0) ->
     return vals[: np.searchsorted(vals, up, "right") + 1]
 
 
-def gap_window(system: GPrimeSystem, x: float, radius_rule=None) -> GapWindow:
+def gap_window(system: GPrimeSystem, x: float) -> GapWindow:
     """Nearest x' in (x-3, x+3) with (x' - r(x'), x' + r(x')) free of g-integers.
 
-    The default radius rule is r(x) = 1/x**2, following the gap argument that
+    The radius rule is r(x) = 1/x**2, following the gap argument that
     guarantees such points exist for all large x.  If no candidate in the
     scan range qualifies, the densest obstruction is reported in the result
     (found=False) rather than guessed around.
     """
     if x < 2:
         raise ParameterError(f"gap scan needs x >= 2, got {x}")
-    radius = radius_rule if radius_rule is not None else (lambda t: 1.0 / (t * t))
+
+    def radius(t: float) -> float:
+        return 1.0 / (t * t)
+
     vals = nearest_gintegers(system, x, 4.0)
 
     def qualifies(c: float) -> bool:
@@ -694,7 +697,8 @@ class CountingReport:
 
 
 def counting_report(system: GPrimeSystem, grid) -> CountingReport:
-    """One-pass counting report over a sorted grid of query points."""
+    """One-pass counting report over a sorted grid of query points; N at each
+    point is count_N's."""
     grid = np.sort(np.fromiter(map(float, grid), float))
     if not np.isfinite(grid).all():  # NaN has no place in an order and passes every range check
         raise ParameterError("grid points must be finite numbers")
@@ -706,10 +710,18 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     _check_bound(system, top, "grid maximum")
 
     vals_log = _sorted_logs_leq(system, top)
-    # log_tolerance at each point, bit for bit: math.log, as numpy's log may round otherwise
-    tols = LOG_TIE_TOL * np.maximum(1.0, np.fromiter(map(math.log, grid.tolist()), float, len(grid)))
-    grid_log = np.log(grid) + tols
+    # math.log, as count_N, count_pi and psi take it: numpy's log may round otherwise
+    lx = np.fromiter(map(math.log, grid.tolist()), float, len(grid))
+    tols = LOG_TIE_TOL * np.maximum(1.0, lx)  # log_tolerance at each point, bit for bit
+    grid_log = lx + tols
     N = np.searchsorted(vals_log, grid_log, side="right")
+    # The kernel counts a leaf v + logs[j] at t when logs[j] <= fl(t - v), the sort
+    # when fl(v + logs[j]) <= t.  They agree unless that float is within 2 ulps of t,
+    # so at a point with a sorted value within 4 ulps N is count_N's own count.
+    ulps = 4 * np.spacing(grid_log)
+    edge = np.searchsorted(vals_log, grid_log + ulps, "right") > np.searchsorted(vals_log, grid_log - ulps)
+    for k in np.flatnonzero(edge).tolist():
+        N[k] = _count_leq(system, float(lx[k]), float(tols[k]))
 
     pi_counts = np.searchsorted(system._logs, grid_log, side="right")
 

@@ -32,6 +32,9 @@ from .zeta import TailedValue
 
 QUAD_TARGET = 1e-10
 POLE_TOL = 1e-9
+EXPANSION_MARGIN = 0.25  # how much faster than its last term a prefix's remainder must fall
+FE_TOL = 1e-10  # a functional-equation residual whose tail budget passes this is inconclusive
+FE_POLE_SKIP = 1e-3  # s-grid points this close to a declared pole are skipped, not continued
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,10 @@ class AsymptoticExpansion:
                 total += -math.factorial(m) * a / dl ** (m + 1)
         return total
 
-    def pole_near(self, s: complex, tol: float = POLE_TOL):
+    def pole_near(self, s: complex):
+        """(lambda, order) of the term whose exponent is within POLE_TOL of s, or None."""
         for lam, coeffs in self.terms:
-            if abs(s - complex(lam)) <= tol:
+            if abs(s - complex(lam)) <= POLE_TOL:
                 return complex(lam), len(coeffs)  # order = degree + 1
         return None
 
@@ -203,11 +207,12 @@ def partition_F(
     return TailedValue(total, float(tail), "partition", float(cutoff))
 
 
-def mellin_G(kernel: Kernel, s: complex, target: float = QUAD_TARGET) -> TailedValue:
+def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
     """G(s) = int_0^inf x^{s-1} g(x) dx on the strip alpha < Re s < beta.
 
-    Tanh-sinh quadrature after splitting at 1 and substituting x = e^{-t}
-    and x = e^{t}; the quadrature error estimate is reported.
+    Tanh-sinh quadrature at mpmath's working precision after splitting at 1
+    and substituting x = e^{-t} and x = e^{t}; the quadrature error estimate
+    is reported.
     """
     s = complex(s)
     if not (kernel.alpha < s.real < kernel.beta):
@@ -250,12 +255,12 @@ class ExpansionReport:
     reason: str = ""
 
 
-def verify_expansion(samples, expansion: AsymptoticExpansion, margin: float = 0.25) -> ExpansionReport:
+def verify_expansion(samples, expansion: AsymptoticExpansion) -> ExpansionReport:
     """Check that each expansion prefix improves the 0+ remainder order.
 
     samples: (x, F(x)) pairs at x = 2^{-j}, j increasing.  For every prefix
     of n terms the envelope |F - F_n| must shrink at least like the last
-    included power improved by `margin`; a wrong coefficient freezes the
+    included power improved by EXPANSION_MARGIN; a wrong coefficient freezes the
     remainder at the bad term's exponent and is rejected.
     """
     pts = sorted(((float(x), complex(f)) for x, f in samples), reverse=True)
@@ -281,7 +286,7 @@ def verify_expansion(samples, expansion: AsymptoticExpansion, margin: float = 0.
     reason = ""
     if not expansion.terms:
         slope = fit_slope(fs)
-        ok = slope > -margin
+        ok = slope > -EXPANSION_MARGIN
         return ExpansionReport(
             ok, (), (), slope, "" if ok else "F unbounded at 0+ but expansion empty"
         )
@@ -289,39 +294,23 @@ def verify_expansion(samples, expansion: AsymptoticExpansion, margin: float = 0.
         prefix = AsymptoticExpansion(expansion.terms[:n])
         rem = fs - np.array([prefix.leading_sum(x) for x in xs])
         slope = fit_slope(rem)
-        need = -complex(expansion.terms[n - 1][0]).real + margin
+        need = -complex(expansion.terms[n - 1][0]).real + EXPANSION_MARGIN
         slopes.append(slope)
         required.append(need)
         if slope < need:
             accepted = False
             reason = (
                 f"after {n} terms the remainder falls like x^{slope:.3g}, "
-                f"not faster than the last term x^{need - margin:.3g}"
+                f"not faster than the last term x^{need - EXPANSION_MARGIN:.3g}"
             )
             break
     return ExpansionReport(accepted, tuple(slopes), tuple(required), slopes[-1], reason)
 
 
-def _continued_mellin(
-    F,
-    expansion: AsymptoticExpansion,
-    s: complex,
-    beta: float,
-    target: float = QUAD_TARGET,
-) -> TailedValue:
-    """Continuation of int_0^inf x^{s-1} F(x) dx given F's 0+ expansion.
-
-    F must be a callable returning a TailedValue.  Valid for Re s < beta and,
-    unless the declared remainder is super-polynomial, Re s above the
-    remainder exponent.
-    """
-    s = complex(s)
-    return _mellin_quad(F, expansion, s, *_mellin_cut(F, expansion, s, beta, target))
-
-
-def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float, target: float):
-    """(xmin, bound on the neglected (0, xmin] piece) of the continuation at s, once s
-    passes the pole and strip checks: everything that can refuse s before a quadrature."""
+def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
+    """(xmin, bound on the neglected (0, xmin] piece) of the continuation of
+    int_0^inf x^{s-1} F(x) dx at s, once s passes the pole and strip checks:
+    everything that can refuse s before a quadrature.  F returns a TailedValue."""
     hit = expansion.pole_near(s)
     if hit is not None:
         lam, order = hit
@@ -340,7 +329,7 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float, targ
             f"{complex(rem_lam).real}; supply more expansion terms"
         )
 
-    # walk xmin down until the neglected (0, xmin] piece is under target
+    # walk xmin down until the neglected (0, xmin] piece is under QUAD_TARGET
     xmin = 0.5
     bound_below = math.inf
     for _ in range(40):
@@ -360,7 +349,7 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float, targ
                 / gap
                 * max(1.0, abs(math.log(xmin)) ** expansion.remainder_log_power)
             )
-        if bound_below <= target / 10 or xmin < 1e-6:
+        if bound_below <= QUAD_TARGET / 10 or xmin < 1e-6:
             break
         xmin *= 0.5
     return xmin, bound_below
@@ -395,15 +384,17 @@ def continue_Gzeta(
     kernel: Kernel,
     expansion: AsymptoticExpansion,
     s: complex,
-    target: float = QUAD_TARGET,
 ) -> TailedValue:
-    """Meromorphic continuation of G(s) * zeta(s) from F's 0+ expansion.
+    """Meromorphic continuation of G(s) * zeta(s) from F's 0+ expansion, to QUAD_TARGET.
 
     Equals mellin_G(s) * zeta(s) on 1 < Re s < beta; poles at each expansion
-    exponent, with order = polynomial degree + 1 (raised as PoleError).
+    exponent, with order = polynomial degree + 1 (raised as PoleError).  Valid
+    for Re s < beta and, unless the declared remainder is super-polynomial,
+    Re s above the remainder exponent.
     """
-    F = lambda x: partition_F(system, kernel, x, tail_tol=target * 1e-3)
-    return _continued_mellin(F, expansion, s, kernel.beta, target)
+    s = complex(s)
+    F = lambda x: partition_F(system, kernel, x, tail_tol=QUAD_TARGET * 1e-3)
+    return _mellin_quad(F, expansion, s, *_mellin_cut(F, expansion, s, kernel.beta))
 
 
 @dataclass(frozen=True)
@@ -492,22 +483,17 @@ class FEResidual:
     inconclusive: bool
 
 
-def fe_residual(
-    spec1: PartitionSpec,
-    spec2: PartitionSpec,
-    H: ResidualSeries,
-    x: float,
-    tol: float = 1e-10,
-) -> FEResidual:
+def fe_residual(spec1: PartitionSpec, spec2: PartitionSpec, H: ResidualSeries, x: float) -> FEResidual:
     """F1(x) - (1/x) F2(1/x) - H(x); near zero on a sample set certifies the
-    x-space side of the functional equation there."""
+    x-space side of the functional equation there.  Inconclusive when the
+    tail budget passes FE_TOL."""
     if not (x > 0):
         raise ParameterError("fe_residual needs x > 0")
-    f1 = spec1.F(x, tail_tol=tol * 1e-3)
-    f2 = spec2.F(1.0 / x, tail_tol=tol * 1e-3)
+    f1 = spec1.F(x, tail_tol=FE_TOL * 1e-3)
+    f2 = spec2.F(1.0 / x, tail_tol=FE_TOL * 1e-3)
     value = f1.value - f2.value / x - H.evaluate(x)
     budget = f1.tail_bound + f2.tail_bound / x
-    return FEResidual(value, float(budget), bool(budget > tol))
+    return FEResidual(value, float(budget), bool(budget > FE_TOL))
 
 
 @dataclass(frozen=True)
@@ -517,18 +503,12 @@ class FEMellinReport:
     skipped: tuple[tuple[complex, str], ...]
 
 
-def check_fe_mellin(
-    spec1: PartitionSpec,
-    spec2: PartitionSpec,
-    s_grid,
-    pole_skip: float = 1e-3,
-    target: float = QUAD_TARGET,
-) -> FEMellinReport:
-    """Evaluate Psi1(1-s) and Psi2(s) independently and report the residuals.
+def check_fe_mellin(spec1: PartitionSpec, spec2: PartitionSpec, s_grid) -> FEMellinReport:
+    """Evaluate Psi1(1-s) and Psi2(s) independently, to QUAD_TARGET, and report the residuals.
 
     Each side is continued from its own expansion (no use of the functional
     relation), so agreement is evidence, not construction.  Grid points
-    within pole_skip of a declared pole of either side are skipped.
+    within FE_POLE_SKIP of a declared pole of either side are skipped.
     """
     if spec1.expansion is None or spec2.expansion is None:
         raise ParameterError("both partition specs need a declared 0+ expansion")
@@ -538,15 +518,15 @@ def check_fe_mellin(
     skipped = []
     for s in s_grid:
         s = complex(s)
-        near = [p for p in poles if abs(s - p) <= pole_skip]
+        near = [p for p in poles if abs(s - p) <= FE_POLE_SKIP]
         if near:
-            skipped.append((s, f"within {pole_skip:g} of pole at {near[0]}"))
+            skipped.append((s, f"within {FE_POLE_SKIP:g} of pole at {near[0]}"))
             continue
         sides = [
-            (lambda x: spec1.F(x, tail_tol=target * 1e-3), spec1.expansion, 1 - s, spec1.kernel.beta),
-            (lambda x: spec2.F(x, tail_tol=target * 1e-3), spec2.expansion, s, spec2.kernel.beta),
+            (lambda x: spec1.F(x, tail_tol=QUAD_TARGET * 1e-3), spec1.expansion, 1 - s, spec1.kernel.beta),
+            (lambda x: spec2.F(x, tail_tol=QUAD_TARGET * 1e-3), spec2.expansion, s, spec2.kernel.beta),
         ]
-        cuts = [_mellin_cut(*side, target) for side in sides]  # both may refuse s before a quadrature
+        cuts = [_mellin_cut(*side) for side in sides]  # both may refuse s before a quadrature
         psi1, psi2 = (_mellin_quad(*side[:3], *cut) for side, cut in zip(sides, cuts))
         rows.append((s, psi1.value, psi2.value, abs(psi1.value - psi2.value)))
     max_res = max((r[3] for r in rows), default=0.0)

@@ -37,6 +37,8 @@ from .systems import GPrimeSystem, LOG_TIE_TOL, from_list
 
 LT, EQ, GT = -1, 0, 1
 MAX_DOUBLINGS = 64
+A2_MULTIPLIERS = (2, 3, 5, 8)  # the k that A2 scales each compared pair by
+A3_CAP = 2**16  # the largest t an A3 witness search tries before it reports undetermined
 REPLY_TIMEOUT_S = 10.0  # how long a ProcessOracle waits for one reply
 PIECE = 4096  # traversal points orderings_coincide brackets at once, at most
 
@@ -109,9 +111,8 @@ class InducedOracle(OrderOracle):
 class FunctionOracle(OrderOracle):
     """Wrap a plain comparator function as an oracle."""
 
-    def __init__(self, fn, provenance: str = "external"):
+    def __init__(self, fn):
         self._fn = fn
-        self.provenance = provenance
 
     def compare(self, a, b) -> int:
         return int(self._fn(a, b))
@@ -190,13 +191,9 @@ class AxiomReport:
         return self.a1_ok and self.a2_ok and self.a3_ok is True
 
 
-def check_axioms(
-    oracle: OrderOracle,
-    window: tuple[int, int],
-    k_samples: tuple[int, ...] = (2, 3, 5, 8),
-    a3_cap: int = 2**16,
-) -> AxiomReport:
-    """Check A1 exhaustively, A2 on sampled multipliers, A3 by capped search.
+def check_axioms(oracle: OrderOracle, window: tuple[int, int]) -> AxiomReport:
+    """Check A1 exhaustively, A2 on the multipliers A2_MULTIPLIERS, A3 by a
+    search capped at A3_CAP.
 
     A1: (m,n) <= (m',n') when m <= m' and n <= n', strict when n < n'.
     A2: (m,n) <= (m',n') implies (m,kn) <= (m',kn'), strict preserved.
@@ -229,7 +226,7 @@ def check_axioms(
                 base = oracle.compare(a, b)
                 if base == GT:
                     continue
-                for k in k_samples:
+                for k in A2_MULTIPLIERS:
                     scaled = oracle.compare((a[0], k * a[1]), (b[0], k * b[1]))
                     bad = scaled == GT or (base == LT and scaled != LT)
                     if bad:
@@ -246,7 +243,7 @@ def check_axioms(
         ("A3(ii)", report.a3_l_witness, M, lambda m: (m, 1), lambda l: (1, l)),
     ):
         for n in range(1, size + 1):
-            witness = _a3_witness(oracle, lhs(n), rhs, a3_cap)
+            witness = _a3_witness(oracle, lhs(n), rhs)
             if witness is None:
                 report.a3_ok = None
                 report.a3_counterexample = (label, n)
@@ -255,11 +252,11 @@ def check_axioms(
     return report
 
 
-def _a3_witness(oracle: OrderOracle, a: tuple[int, int], b, cap: int) -> int | None:
-    """The first t = 1, 2, 4, ... <= cap with a < b(t), or None: at the cap, or
+def _a3_witness(oracle: OrderOracle, a: tuple[int, int], b) -> int | None:
+    """The first t = 1, 2, 4, ... <= A3_CAP with a < b(t), or None: at the cap, or
     once a compare leaves the system's horizon."""
     t = 1
-    while t <= cap:
+    while t <= A3_CAP:
         try:
             if oracle.compare(a, b(t)) == LT:
                 return t
@@ -269,11 +266,11 @@ def _a3_witness(oracle: OrderOracle, a: tuple[int, int], b, cap: int) -> int | N
     return None
 
 
-def f_k(oracle: OrderOracle, k: int, n: int, max_doublings: int = MAX_DOUBLINGS) -> int:
+def f_k(oracle: OrderOracle, k: int, n: int) -> int:
     """The unique f with (1, f) <= (k, n) < (1, f+1), by doubling + bisection.
 
-    EQ answers count as <=; a doubling search that never escapes suggests an
-    A3 violation and raises.
+    EQ answers count as <=; a doubling search that does not escape within
+    MAX_DOUBLINGS suggests an A3 violation and raises.
     """
     if k < 1 or n < 1:
         raise ParameterError("f_k needs k, n >= 1")
@@ -282,9 +279,9 @@ def f_k(oracle: OrderOracle, k: int, n: int, max_doublings: int = MAX_DOUBLINGS)
     while oracle.compare((1, hi), (k, n)) <= EQ:
         hi *= 2
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > MAX_DOUBLINGS:
             raise AxiomSearchError(
-                f"(1, f) never exceeded ({k}, {n}) after {max_doublings} doublings; "
+                f"(1, f) never exceeded ({k}, {n}) after {MAX_DOUBLINGS} doublings; "
                 "axiom A3 is suspect"
             )
     lo = hi // 2
@@ -475,24 +472,22 @@ class LimitEstimate:
     radius: float
 
 
-def cauchy_limit(f, n: int, samples=None) -> LimitEstimate:
+def cauchy_limit(f, n: int) -> LimitEstimate:
     """Certified limit of f(n)/n for f with |f(mn)/mn - f(n)/n| <= 1/n.
 
-    The contraction property is spot-checked on sampled (m, n') pairs; a
-    violation raises with the witness.  On the checked samples the lemma
-    gives |f(n)/n - lim| <= 1/n, returned as (estimate, radius).
+    The contraction property is spot-checked on the pairs (m, q) with m in
+    2, 3, 7, 10, 17 and q in 1, 2, 3, 5, 8, 13, n // 7, n; a violation raises
+    with the witness.  On the checked samples the lemma gives
+    |f(n)/n - lim| <= 1/n, returned as (estimate, radius).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if samples is None:
-        base = [1, 2, 3, 5, 8, 13, max(1, n // 7), n]
-        mult = [2, 3, 7, 10, 17]
-        samples = [(m, q) for q in base for m in mult]
-    for m, q in samples:
-        lhs = abs(f(m * q) / (m * q) - f(q) / q)
-        if lhs > 1.0 / q + 1e-12:
-            raise PreconditionError(
-                f"|f({m}*{q})/{m * q} - f({q})/{q}| = {lhs:.6g} > 1/{q}",
-                witness=(m, q),
-            )
+    for q in (1, 2, 3, 5, 8, 13, max(1, n // 7), n):
+        for m in (2, 3, 7, 10, 17):
+            lhs = abs(f(m * q) / (m * q) - f(q) / q)
+            if lhs > 1.0 / q + 1e-12:
+                raise PreconditionError(
+                    f"|f({m}*{q})/{m * q} - f({q})/{q}| = {lhs:.6g} > 1/{q}",
+                    witness=(m, q),
+                )
     return LimitEstimate(f(n) / n, 1.0 / n)

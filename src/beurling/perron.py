@@ -39,14 +39,14 @@ MAX_NODES = 10**7
 class PerronParams:
     """Evaluation point, truncation height, contour abscissa, quadrature step.
 
-    Defaults follow the classical choices: c = 1 + 1/log x, and a step small
-    enough that the integrand phase x^{it} advances less than pi/8 per step.
+    c defaults to the classical 1 + 1/log x.  The step is derived, not set:
+    step = pi / (8 log x), so the integrand phase x^{it} advances pi/8 per step.
     """
 
     x: float
     T: float
     c: float = None
-    step: float = None
+    step: float = field(init=False)
 
     def __post_init__(self):
         if not (self.x > 2):
@@ -61,9 +61,8 @@ class PerronParams:
             math.pow(self.x, self.c)  # raises for numpy floats too, where ** gives inf
         except OverflowError:  # x^s on the contour would be inf, and the integral nan
             raise ParameterError(f"x^c overflows for x = {self.x} and c = {self.c}") from None
-        if self.step is None:
-            object.__setattr__(self, "step", math.pi / (8.0 * math.log(self.x)))
-        if not (self.step > 0):
+        object.__setattr__(self, "step", math.pi / (8.0 * math.log(self.x)))
+        if not (self.step > 0):  # x = inf
             raise ParameterError("quadrature step must be positive")
         if not (2 * self.T / self.step <= MAX_NODES):
             raise ParameterError(

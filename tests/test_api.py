@@ -1,0 +1,92 @@
+"""Every library parameter that has a default is set by some call.
+
+A default that no call in src/, tests/ or bench/ overrides is a constant
+posing as an option: the value is fixed in practice, yet each such parameter
+doubles the configurations a reader must assume the code supports.  The scan
+reads the source with `ast`.  A call `f(...)` or `x.f(...)` matches every
+`def f` (and a call of a class name its `__init__`), and sets a parameter when
+it passes that parameter by keyword or by position.  Arguments unpacked with
+`*` or `**` set nothing here, since the source does not show which they fill.
+Dataclass fields are not parameters here: a result record such as
+`orders.AxiomReport` starts from defaults that the code then assigns.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "beurling"
+CALLERS = ("src", "tests", "bench")
+
+
+def defaulted_parameters(tree: ast.Module, module: str):
+    """(label, called name, parameter, position in a call or None) of each
+    parameter with a default, in functions, methods and nested functions."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            bound = 1 if cls and not static else 0  # self or cls, which a call does not pass
+            name = cls if child.name == "__init__" else child.name
+            label = f"{module}.{cls + '.' if cls else ''}{child.name}"
+            first = len(positional) - len(args.defaults)
+            for k, arg in enumerate(positional[first:], first):
+                found.append((label, name, arg.arg, k - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((label, name, arg.arg, None))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def calls_by_name():
+    """For each called name: (how many leading positional arguments, keywords) per call."""
+    trees = [ast.parse(path.read_text()) for d in CALLERS for path in sorted((ROOT / d).rglob("*.py"))]
+    aliases = {
+        alias.asname: alias.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            leading = next((k for k, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            calls.setdefault(aliases.get(name, name), []).append((leading, keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    params = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        params += defaulted_parameters(ast.parse(path.read_text()), path.stem)
+    assert params, "the scan found no parameters with defaults"
+    calls = calls_by_name()
+    unset = [
+        f"{label}({param})"
+        for label, name, param, position in params
+        if not any(
+            param in keywords or (position is not None and leading > position)
+            for leading, keywords in calls.get(name, ())
+        )
+    ]
+    assert not unset, "defaults that no call overrides: " + ", ".join(unset)

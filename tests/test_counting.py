@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beurling import (
     count_N,
@@ -20,6 +22,7 @@ from beurling import (
     stream_gintegers,
     von_mangoldt,
 )
+from beurling.cli import main
 from beurling.counting import (
     _collect_logs_leq,
     _count_leq,
@@ -243,6 +246,38 @@ def test_report_consistency_with_pointwise():
     assert list(rep.pi) == [count_pi(s, x) for x in grid]
     assert np.allclose(rep.psi, [psi(s, x) for x in grid])
     assert abs(rep.rho_hat - 1.0) < 0.01
+
+
+# two near-equal primes, each repeated: g-integers an ulp or so apart
+NEAR_REPEATS = from_list([1.5, 1.5, 1.5 * (1 + 1e-13), 1.5 * (1 + 1e-13)], 12.0)
+
+
+@pytest.mark.parametrize(
+    "system,spec,x,n",
+    [
+        (rational_primes(1000), "builtin:rationals", 663.9999999956849, 664),
+        (NEAR_REPEATS, "list:1.5,1.5,1.5000000000001499,1.5000000000001499", 11.390624999973427, 133),
+    ],
+    ids=["rationals", "near-repeats"],
+)
+def test_report_N_at_a_band_edge_is_count_N(system, spec, x, n, capsys):
+    """Points whose top, log x + log_tolerance(x), is a g-integer's float: the
+    report and the `count` command count as count_N does."""
+    assert count_N(system, x) == n
+    assert counting_report(system, [x, system.limit]).N[0] == n
+    argv = ["count", "--system", spec, "--limit", repr(system.limit), "--grid", f"{x!r},{system.limit!r}"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows[1][:2] == [repr(x), str(n)]
+
+
+@given(st.sampled_from([rational_primes(1000), gaussian_system(1000), NEAR_REPEATS]), st.data())
+def test_report_N_is_count_N_a_few_ulps_about_g_integer_tops(system, data):
+    values = g_integer_values(system, system.limit).tolist()
+    top = st.sampled_from(values).map(lambda v: v * math.exp(-log_tolerance(v)))
+    point = st.builds(lambda t, k: min(system.limit, max(1.0, t + k * math.ulp(t))), top, st.integers(-16, 16))
+    report = counting_report(system, data.draw(st.lists(point, min_size=1, max_size=30)) + [system.limit])
+    assert report.N.tolist() == [count_N(system, x) for x in report.grid.tolist()]
 
 
 def test_gap_window_single_prime():

@@ -460,7 +460,7 @@ def test_nodes_at_a_lower_bound_are_the_depth_first_walks(case, u):
         top = math.log(x) + log_tolerance(x)
         keep = nodes.step <= (top - nodes.vpar) / 2
         assert keep[0] and keep[nodes.parent[keep]].all()
-        got = np.array(nodes.at(system.log_primes, top, preorder=True)).T
+        got = np.array(nodes.at(top, preorder=True)).T
         want = np.array(list(dfs_walk(system, math.log(x), log_tolerance(x))))
         assert got.tobytes() == want.tobytes()
 
@@ -523,7 +523,6 @@ def test_the_horizon_read_is_kept_on_its_nodes(make):
     at the top of its first nodes, then grows new nodes to the horizon, which keep
     their own; a lower top is still cut from the nodes by `keep`."""
     system = make(10**4)
-    logs = system.log_primes
     for s in (2.0 + 0j, 1.5 + 14.134725j, 3.0 - 1000.0j):
         assert_same_power_sum(system, math.log(50.0), log_tolerance(50.0), s)
         first = counting._node_cell(system)[0][0]
@@ -541,7 +540,7 @@ def test_the_horizon_read_is_kept_on_its_nodes(make):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     for top in (first.top, math.nextafter(grown.top, 0.0)):
-        v, i, mid, hi = grown.at(logs, top, preorder=True)
+        v, i, mid, hi = grown.at(top, preorder=True)
         rows = grown.preorder[grown.keep(top)[grown.preorder]]
         assert v.tobytes() == grown.v[rows].tobytes() and i.tobytes() == grown.i[rows].tobytes()
         want = np.array(list(dfs_walk(system, top, 0.0))).T
@@ -819,7 +818,8 @@ def test_psi_is_the_prime_loop_on_fixed_systems(system):
 
 
 def reference_report(system, grid):
-    """counting_report as it was: the grid sorted by Python, log_tolerance at each point."""
+    """counting_report per point: the grid sorted by Python, N from count_N and
+    log_tolerance at each point."""
     grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
     if not np.isfinite(grid).all():
         raise ParameterError("grid points must be finite numbers")
@@ -831,8 +831,8 @@ def reference_report(system, grid):
     counting._check_bound(system, top, "grid maximum")
     vals_log = counting._sorted_logs_leq(system, top)
     tols = np.array([log_tolerance(x) for x in grid])
-    grid_log = np.log(grid) + tols
-    N = np.searchsorted(vals_log, grid_log, side="right")
+    grid_log = np.array([math.log(x) for x in grid]) + tols
+    N = np.array([count_N(system, x) for x in grid], dtype=np.intp)
     pi_counts = np.searchsorted(system.log_primes, grid_log, side="right")
     L, _, cum = counting._prime_powers(system, top)
     psi_vals = np.concatenate([[0.0], cum])[np.searchsorted(L, grid_log, side="right")]
@@ -870,11 +870,12 @@ E_POINTS = [math.e, math.nextafter(math.e, 0.0), math.nextafter(math.e, math.inf
 
 @st.composite
 def systems_and_grids(draw):
-    """A system and grid points up to its horizon: integers, g-integer tops, points
+    """A system and grid points up to its horizon: integers, g-integer values, points
     a few ulps either side of them and points up to twice log_tolerance either side
     of them in the log domain (the edges of the count and of the boundary band),
-    points in [1, e], and e and its float neighbours, where log x crosses 1 in
-    log_tolerance's max."""
+    points a few ulps either side of a g-integer's top (where log x + log_tolerance(x)
+    meets its log), points in [1, e], and e and its float neighbours, where log x
+    crosses 1 in log_tolerance's max."""
     system, _ = draw(systems_and_bounds())
     values = g_integer_values(system, system.limit).tolist()
     point = st.one_of(
@@ -885,6 +886,7 @@ def systems_and_grids(draw):
             st.sampled_from(values),
             st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
         ),
+        st.builds(lambda v, k: ulps(v * math.exp(-log_tolerance(v)), k), st.sampled_from(values), st.integers(-16, 16)),
         st.floats(1.0, math.e),
         st.sampled_from(E_POINTS),
     )
