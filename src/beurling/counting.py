@@ -14,8 +14,9 @@ as it is read.  The Dirichlet sum adds its terms in the depth-first walk's
 pre-order, which sets its last bits.
 
 All comparisons against a query x happen in the log domain with tolerance
-LOG_TIE_TOL * max(1, log x); values inside the tolerance band count as <= x
-and grid reports flag the boundary hit.
+LOG_TIE_TOL * max(1, log x): the kernel takes one log top, `log_top(x)`, and
+values inside the tolerance band count as <= x; grid reports flag the
+boundary hit.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .errors import (
     MaterialisationError,
     ParameterError,
 )
-from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_tolerance, per_system
+from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_top, per_system
 
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
@@ -61,10 +62,9 @@ class GIntegerStream:
     """
 
     def __init__(self, source: GPrimeSystem, bound: float):
-        lb, tol = _capped_bound(source, bound, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
+        top = _capped_bound(source, bound)
         self.source, self.bound = source, bound
-        nodes = _nodes_or_walk(source, lb, tol)
-        self._items = itertools.chain.from_iterable(_segments(lb + tol, nodes))
+        self._items = itertools.chain.from_iterable(_segments(top, _nodes_or_walk(source, top)))
 
     def __iter__(self):
         return self
@@ -206,9 +206,9 @@ def _spans(first: np.ndarray, stop: np.ndarray, piece: int):
         yield k, np.arange(start, end) - (starts - first)[k]
 
 
-def _check_log_bound(log_bound: float) -> None:
-    if not math.isfinite(log_bound):  # NaN passes every comparison; inf never ends
-        raise ParameterError(f"cannot walk to the log bound {log_bound}")
+def _check_top(top: float) -> None:
+    if not math.isfinite(top):  # NaN passes every comparison; inf never ends
+        raise ParameterError(f"cannot walk to the log bound {top}")
 
 
 def _leaf_range(logs: np.ndarray, top: float, v: np.ndarray, i: np.ndarray):
@@ -221,21 +221,21 @@ def _leaf_range(logs: np.ndarray, top: float, v: np.ndarray, i: np.ndarray):
     return mid, hi
 
 
-def _batches(system: GPrimeSystem, log_bound: float, tol: float):
-    """The walk over the exponent vectors with log value <= log_bound + tol.
+def _batches(system: GPrimeSystem, top: float):
+    """The walk over the exponent vectors with log value <= top.
 
     A node (log value v, index i) is a g-integer the walk extends: its children
     extend it by the primes at indices i..hi-1, and those from mid on (the
     leaves) extend no further.  Child i continues the node's chain (the node
-    times powers of prime i) while logs[i] <= (log_bound + tol - v) / 2;
+    times powers of prime i) while logs[i] <= (top - v) / 2;
     children i+1..mid-1 head chains of later batches.  A batch sums its chains
     with one cumsum down a (chain step x head) array of at most PIECE elements,
     so each value is the sequential sum a depth-first walk forms.  Yields per
     batch the nodes' (v, i, mid, hi), chain by chain, each chain's length and
     each head's parent's row.
     """
-    _check_log_bound(log_bound)
-    logs, top = system._logs, log_bound + tol
+    _check_top(top)
+    logs = system._logs
     pending, row = [(np.zeros(1), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))], 0
     while pending:
         v, i, src = pending.pop()
@@ -316,27 +316,30 @@ def _node_cell(system: GPrimeSystem) -> list:
     return [(None, math.inf)]
 
 
-def _nodes(system: GPrimeSystem, log_bound: float, tol: float) -> _Nodes | None:
-    """The system's kept nodes for a walk to log_bound + tol, or None above NODE_CAP.
+def _grown_top(system: GPrimeSystem, top: float) -> float:
+    """The log top a kept table is rebuilt to when a query passes it at `top`: twice
+    it, up to the horizon's.  From a first top t > 0, reaching a top T takes at most
+    1 + log2(T / t) builds; an infinite horizon grows by the same rule."""
+    return max(top, min(log_top(system.limit), 2 * top))
 
-    A top past the kept one is walked to min(horizon, bound**2), as `_prime_powers`
-    grows its table: twice the top in the log domain, so from a first bound b > 1
-    a top B takes at most 1 + log2(log B / log b) walks.  A walk stops once it
-    passes NODE_CAP, and no top at or above one that passed it is walked again.
+
+def _nodes(system: GPrimeSystem, top: float) -> _Nodes | None:
+    """The system's kept nodes for a walk to `top`, or None above NODE_CAP.
+
+    A top past the kept one is walked to `_grown_top`, as `_prime_powers` grows its
+    table.  A walk stops once it passes NODE_CAP, and no top at or above one that
+    passed it is walked again.
     """
-    _check_log_bound(log_bound)
-    top = log_bound + tol
+    _check_top(top)
     cell = _node_cell(system)
     nodes, over = cell[0]
     if nodes is not None and top <= nodes.top:
         return nodes
-    horizon = math.log(system.limit)
-    horizon += LOG_TIE_TOL * max(1.0, horizon)  # log_tolerance(limit), with no systems call
-    top = max(top, min(horizon, 2 * top))
+    top = _grown_top(system, top)
     if top >= over:
         return None
     batches, n = [], 0
-    for batch in _batches(system, top, 0.0):
+    for batch in _batches(system, top):
         n += len(batch[0])
         if n > NODE_CAP:
             cell[0] = (nodes, top)
@@ -346,34 +349,33 @@ def _nodes(system: GPrimeSystem, log_bound: float, tol: float) -> _Nodes | None:
     return cell[0][0]
 
 
-def _nodes_or_walk(system: GPrimeSystem, log_bound: float, tol: float) -> _Nodes:
-    """The kept nodes, or above NODE_CAP the nodes of a walk to this bound alone."""
-    nodes = _nodes(system, log_bound, tol)
-    return nodes or _Nodes(log_bound + tol, list(_batches(system, log_bound, tol)), system._logs)
+def _nodes_or_walk(system: GPrimeSystem, top: float) -> _Nodes:
+    """The kept nodes, or above NODE_CAP the nodes of a walk to this top alone."""
+    return _nodes(system, top) or _Nodes(top, list(_batches(system, top)), system._logs)
 
 
-def _count_leq(system: GPrimeSystem, log_bound: float, tol: float, stop: int | None = None) -> int:
-    """Number of exponent vectors with log value <= log_bound + tol.
+def _count_leq(system: GPrimeSystem, top: float, stop: int | None = None) -> int:
+    """Number of exponent vectors with log value <= top.
 
     Above NODE_CAP the count walks, and with `stop` it ends once it passes `stop`:
     a count above `stop` may then be a lower bound.
     """
-    nodes = _nodes(system, log_bound, tol)
+    nodes = _nodes(system, top)
     if nodes is not None:
-        v, _, mid, hi = nodes.at(log_bound + tol)
+        v, _, mid, hi = nodes.at(top)
         return len(v) + int((hi - mid).sum())
     n = 0
-    for v, _, mid, hi, *_ in _batches(system, log_bound, tol):
+    for v, _, mid, hi, *_ in _batches(system, top):
         n += len(v) + int((hi - mid).sum())
         if stop is not None and n > stop:
             break
     return n
 
 
-def _collect_logs_leq(system: GPrimeSystem, log_bound: float, tol: float) -> np.ndarray:
-    """Unsorted log values of all exponent vectors <= the bound: the nodes in walk
-    order, then their leaves."""
-    v, _, mid, hi = _nodes_or_walk(system, log_bound, tol).at(log_bound + tol)
+def _collect_logs_leq(system: GPrimeSystem, top: float) -> np.ndarray:
+    """Unsorted log values of all exponent vectors <= top: the nodes in walk order,
+    then their leaves."""
+    v, _, mid, hi = _nodes_or_walk(system, top).at(top)
     out, row = np.concatenate([v, np.empty(int((hi - mid).sum()))]), len(v)
     for k, j in _spans(mid, hi, PIECE):
         out[row : row + len(k)] = v[k] + system._logs[j]
@@ -418,8 +420,8 @@ def _preorder(i, length, src, rows, chains) -> np.ndarray:
     return end - size
 
 
-def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: complex):
-    """(sum of n^{-s}, count) over all g-integers with log n <= log_bound + tol.
+def _power_sum_leq(system: GPrimeSystem, top: float, s: complex):
+    """(sum of n^{-s}, count) over all g-integers with log n <= top.
 
     The terms are added one by one in the depth-first walk's pre-order: at each
     node n^{-s}, then n^{-s} times the sum of p^{-s} over the primes of its
@@ -427,8 +429,7 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     (numpy's complex multiply may fuse and round differently), so the sum is
     the depth-first walk's, bit for bit.
     """
-    top = log_bound + tol
-    nodes = _nodes_or_walk(system, log_bound, tol)
+    nodes = _nodes_or_walk(system, top)
     v, _, mid, hi = nodes.preorder_at_top if top == nodes.top else nodes.at(top, preorder=True)
     logs = system._logs[: np.searchsorted(system._logs, top, "right")]
     prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
@@ -441,43 +442,35 @@ def _power_sum_leq(system: GPrimeSystem, log_bound: float, tol: float, s: comple
     return complex(np.cumsum(terms)[-1]), len(v) + int((hi - mid).sum())
 
 
-def _capped_bound(system: GPrimeSystem, bound: float, warn_cap: int, refuse_cap: int):
-    """(log bound, tol) to walk to `bound`, once the bound and its count pass the caps.
+def _capped_bound(system: GPrimeSystem, bound: float) -> float:
+    """The log top to walk to `bound`, once the bound and its count pass the caps.
 
-    The count stops once it passes `refuse_cap`, so a refusal takes time that grows
-    with the cap, not with the set, and the count it reports is a lower bound.
+    The caps are read here, at each call.  The count stops once it passes
+    MATERIALISE_REFUSE_CAP, so a refusal takes time that grows with the cap, not
+    with the set, and the count it reports is a lower bound.
     """
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
     _check_bound(system, bound)
-    lb, tol = math.log(bound), log_tolerance(bound)
-    n = _count_leq(system, lb, tol, refuse_cap)
-    if n > refuse_cap:
-        raise MaterialisationError(f"{n} g-integers exceed the cap {refuse_cap}")
-    if n > warn_cap:
-        warnings.warn(f"materialising {n} g-integers (warn cap {warn_cap})")
-    return lb, tol
+    top = log_top(bound)
+    n = _count_leq(system, top, MATERIALISE_REFUSE_CAP)
+    if n > MATERIALISE_REFUSE_CAP:
+        raise MaterialisationError(f"{n} g-integers exceed the cap {MATERIALISE_REFUSE_CAP}")
+    if n > MATERIALISE_WARN_CAP:
+        warnings.warn(f"materialising {n} g-integers (warn cap {MATERIALISE_WARN_CAP})")
+    return top
 
 
-def _sorted_logs_leq(
-    system: GPrimeSystem,
-    bound: float,
-    warn_cap: int = MATERIALISE_WARN_CAP,
-    refuse_cap: int = MATERIALISE_REFUSE_CAP,
-) -> np.ndarray:
+def _sorted_logs_leq(system: GPrimeSystem, bound: float) -> np.ndarray:
     """Sorted log values of the g-integers <= bound, with multiplicity, capped."""
-    return np.sort(_collect_logs_leq(system, *_capped_bound(system, bound, warn_cap, refuse_cap)))
+    return np.sort(_collect_logs_leq(system, _capped_bound(system, bound)))
 
 
-def g_integer_values(
-    system: GPrimeSystem,
-    bound: float,
-    warn_cap: int = MATERIALISE_WARN_CAP,
-    refuse_cap: int = MATERIALISE_REFUSE_CAP,
-) -> np.ndarray:
-    """Sorted array of g-integer values <= bound, with multiplicity; a count
-    above refuse_cap raises, above warn_cap warns (counting materialises nothing)."""
-    return np.exp(_sorted_logs_leq(system, bound, warn_cap, refuse_cap))
+def g_integer_values(system: GPrimeSystem, bound: float) -> np.ndarray:
+    """Sorted array of g-integer values <= bound, with multiplicity; a count above
+    MATERIALISE_REFUSE_CAP raises, above MATERIALISE_WARN_CAP warns (counting
+    materialises nothing)."""
+    return np.exp(_sorted_logs_leq(system, bound))
 
 
 def count_N(system: GPrimeSystem, x: float) -> int:
@@ -485,7 +478,7 @@ def count_N(system: GPrimeSystem, x: float) -> int:
     if x < 1:
         raise ParameterError(f"x must be >= 1, got {x}")
     _check_bound(system, x, "x")
-    return _count_leq(system, math.log(x), log_tolerance(x))
+    return _count_leq(system, log_top(x))
 
 
 def count_pi(system: GPrimeSystem, x: float) -> int:
@@ -493,26 +486,26 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
     _check_bound(system, x, "x")
     if x <= 1:
         return 0
-    return int(np.searchsorted(system._logs, math.log(x) + log_tolerance(x), side="right"))
+    return int(np.searchsorted(system._logs, log_top(x), side="right"))
 
 
-def _build_prime_powers(system: GPrimeSystem, bound: float):
-    """(L, W, cumsum W) over the prime powers <= bound, by log value, ties by prime
-    index and then exponent: the order a stable sort of a prime-by-prime loop gives.
+def _build_prime_powers(system: GPrimeSystem, top: float):
+    """(L, W, cumsum W) over the prime powers with log value <= top, by log value,
+    ties by prime index and then exponent: the order a stable sort of a
+    prime-by-prime loop gives.
 
     Each prime's powers are one sequential cumsum of its log, the floats of the
     loop's repeated `v += log p`.
     """
-    lb = math.log(bound) + log_tolerance(bound)
     logs = system._logs
-    n = int(np.searchsorted(logs, lb, side="right"))
+    n = int(np.searchsorted(logs, top, side="right"))
     L, i, k = [logs[:n]], [np.arange(n)], [np.ones(n, dtype=np.intp)]
-    for j in range(int(np.searchsorted(logs, lb / 2, side="right"))):  # lp + lp <= lb
+    for j in range(int(np.searchsorted(logs, top / 2, side="right"))):  # lp + lp <= top
         lp = logs[j]
         # the sum of m terms is within a relative m * 2**-53 of m * lp, far inside
-        # the 1e-6 margin, so the last sum passes lb
-        powers = np.cumsum(np.full(int(lb / lp * (1 + 1e-6)) + 2, lp))
-        m = int(np.searchsorted(powers, lb, side="right"))
+        # the 1e-6 margin, so the last sum passes top
+        powers = np.cumsum(np.full(int(top / lp * (1 + 1e-6)) + 2, lp))
+        m = int(np.searchsorted(powers, top, side="right"))
         L.append(powers[1:m])
         i.append(np.full(m - 1, j))
         k.append(np.arange(2, m + 1))
@@ -525,32 +518,30 @@ def _build_prime_powers(system: GPrimeSystem, bound: float):
 @per_system
 def _psi_profile(system: GPrimeSystem) -> list:
     """A cell holding the prime-power table built so far: (top, L, W, cumsum W), the
-    table up to the value `top`.  `_prime_powers` grows it; threads that grow it
+    table up to the log top `top`.  `_prime_powers` grows it; threads that grow it
     together each build and slice their own table, and one of them is kept."""
-    return [(0.0, np.zeros(0), np.zeros(0), np.zeros(0))]
+    return [(-math.inf, np.zeros(0), np.zeros(0), np.zeros(0))]
 
 
 def _prime_powers(system: GPrimeSystem, bound: float):
     """(L, W, cumsum W) over the prime powers <= bound, sliced from `_psi_profile`.
 
-    A bound past the table's top rebuilds it up to min(horizon, bound**2), which at
-    least doubles the top's log: from a first bound b > 1, reaching a top B takes
-    at most 1 + log2(log B / log b) builds, and a first bound at or above the
-    horizon's square root takes one.  The slice equals the table built to the
-    bound: the same floats in the same order.
+    A bound past the table's top rebuilds it to `_grown_top`, as `_nodes` grows the
+    kept nodes, so a first bound at or above the horizon's square root takes one
+    build.  The slice equals the table built to the bound: the same floats in the
+    same order.
     """
     _check_bound(system, bound)
     if bound <= 0:
         raise ParameterError(f"bound must be positive, got {bound}")
-    if math.isinf(system.limit):  # no horizon to cap the table at
-        return _build_prime_powers(system, bound)
     cell = _psi_profile(system)
     top, L, W, cum = cell[0]
-    if bound > top:
-        top = min(system.limit, max(bound, bound * bound))
+    t = log_top(bound)
+    if t > top:
+        top = _grown_top(system, t)
         L, W, cum = _build_prime_powers(system, top)
         cell[0] = (top, L, W, cum)
-    k = np.searchsorted(L, math.log(bound) + log_tolerance(bound), side="right")
+    k = np.searchsorted(L, t, side="right")
     return L[:k], W[:k], cum[:k]
 
 
@@ -564,7 +555,7 @@ def psi(system: GPrimeSystem, x: float) -> float:
     if x < 1:
         raise ParameterError(f"x must be >= 1, got {x}")
     _check_bound(system, x, "x")
-    lx = math.log(x) + log_tolerance(x)
+    lx = log_top(x)
     lp = system._logs[: np.searchsorted(system._logs, lx, side="right")]
     # cumsum adds in index order, as a loop does; np.sum adds pairwise and changes bits
     return float(np.cumsum(np.floor(lx / lp) * lp)[-1]) if len(lp) else 0.0
@@ -607,9 +598,9 @@ def nearest_gintegers(system: GPrimeSystem, x: float, halfwidth: float = 4.0) ->
     """
     _check_bound(system, x + halfwidth, "scan upper edge")
     far = min(system.limit, 2 * x + halfwidth)
-    lb, tol = _capped_bound(system, far, MATERIALISE_WARN_CAP, MATERIALISE_REFUSE_CAP)
+    top = _capped_bound(system, far)
     logs = system._logs
-    v, _, mid, hi = _nodes_or_walk(system, lb, tol).at(lb + tol)
+    v, _, mid, hi = _nodes_or_walk(system, top).at(top)
     lo, up = x - halfwidth, x + halfwidth
     a = math.log(lo) - 1e-9 if lo > 0 else -math.inf
     b = math.log(up) + 1e-9
@@ -666,15 +657,12 @@ def gap_window(system: GPrimeSystem, x: float) -> GapWindow:
         if qualifies(c):
             below, above = neighbours(c)
             return GapWindow(c, radius(c), True, below, above, shifted=(c != x))
-    # densest obstruction: the tightest pair of g-integers in range
+    # densest obstruction: the tightest pair of g-integers in range.  There are at
+    # least two: with none in range x qualifies, and with one, v, x or
+    # v + r(v) * 1.0000001 does
     gaps = np.diff(inside)
-    if len(gaps):
-        k = int(np.argmin(gaps))
-        obstruction = (
-            f"tightest gap {gaps[k]:.3e} between {inside[k]:.6f} and {inside[k+1]:.6f}"
-        )
-    else:
-        obstruction = "scan range contained no interior g-integers"
+    k = int(np.argmin(gaps))
+    obstruction = f"tightest gap {gaps[k]:.3e} between {inside[k]:.6f} and {inside[k+1]:.6f}"
     below, above = neighbours(x)
     return GapWindow(x, radius(x), False, below, above, shifted=False, obstruction=obstruction)
 
@@ -721,7 +709,7 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     ulps = 4 * np.spacing(grid_log)
     edge = np.searchsorted(vals_log, grid_log + ulps, "right") > np.searchsorted(vals_log, grid_log - ulps)
     for k in np.flatnonzero(edge).tolist():
-        N[k] = _count_leq(system, float(lx[k]), float(tols[k]))
+        N[k] = _count_leq(system, float(grid_log[k]))
 
     pi_counts = np.searchsorted(system._logs, grid_log, side="right")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .counting import _sorted_logs_leq
 from .errors import ParameterError, PoleError, StripError
-from .systems import GPrimeSystem, log_tolerance, per_system
+from .systems import GPrimeSystem, log_top, per_system
 from .zeta import TailedValue
 
 QUAD_TARGET = 1e-10
@@ -94,13 +94,12 @@ class AsymptoticExpansion:
 
     terms: (lambda_n, coefficients a_0..a_d of P_n), Re lambda strictly
     decreasing.  remainder_lambda bounds what is left after all terms
-    (E_N = O(x^{-Re remainder_lambda} (log x)^k)); None means the remainder
-    shrinks faster than any power (theta-type kernels).
+    (E_N = O(x^{-Re remainder_lambda})); None means the remainder shrinks
+    faster than any power (theta-type kernels).
     """
 
     terms: tuple[tuple[complex, tuple[complex, ...]], ...]
     remainder_lambda: complex | None = None
-    remainder_log_power: int = 0
 
     def __post_init__(self):
         prev = math.inf
@@ -201,7 +200,7 @@ def partition_F(
             cutoff = min(cutoff * 2.0, system.limit)
     if not (1 <= cutoff <= system.limit):
         raise ParameterError(f"cutoff {cutoff} is outside [1, {system.limit}]")
-    vals = values[: np.searchsorted(logs, math.log(cutoff) + log_tolerance(cutoff), side="right")]
+    vals = values[: np.searchsorted(logs, log_top(cutoff), side="right")]
     total = complex(np.sum(_kernel_apply(kernel, vals * x)))
     tail = rho * kernel.tail(float(cutoff), x)
     return TailedValue(total, float(tail), "partition", float(cutoff))
@@ -342,13 +341,8 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
                 raise ParameterError(f"x^s overflows for s = {s} at x = {xmin}") from None
         else:
             gap = s.real - complex(rem_lam).real
-            C = mag / (xmin ** (-complex(rem_lam).real) * max(1.0, abs(math.log(xmin)) ** expansion.remainder_log_power))
-            bound_below = (
-                C
-                * xmin**gap
-                / gap
-                * max(1.0, abs(math.log(xmin)) ** expansion.remainder_log_power)
-            )
+            C = mag / xmin ** (-complex(rem_lam).real)
+            bound_below = C * xmin**gap / gap
         if bound_below <= QUAD_TARGET / 10 or xmin < 1e-6:
             break
         xmin *= 0.5

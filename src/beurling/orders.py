@@ -46,8 +46,6 @@ PIECE = 4096  # traversal points orderings_coincide brackets at once, at most
 class OrderOracle:
     """Total-order comparator on N^2 points (m, n), 1-based indices."""
 
-    provenance = "external"
-
     def compare(self, a: tuple[int, int], b: tuple[int, int]) -> int:
         raise NotImplementedError
 
@@ -69,8 +67,6 @@ class InducedOracle(OrderOracle):
     when that decides the comparison (any unlisted prime exceeds `limit`),
     and raise IncompleteSystemError otherwise.
     """
-
-    provenance = "induced-from-system"
 
     def __init__(self, system: GPrimeSystem):
         if system.nprimes < 1:
@@ -130,7 +126,6 @@ class ProcessOracle(OrderOracle):
         if not argv:
             raise ParameterError("the oracle command is empty")
         self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self.provenance = f"process:{cmd}"
 
     def compare(self, a, b) -> int:
         try:

@@ -49,8 +49,8 @@ class PerronParams:
     step: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.x > 2):
-            raise ParameterError(f"perron needs x > 2, got {self.x}")
+        if not (2 < self.x < math.inf):
+            raise ParameterError(f"perron needs 2 < x < inf, got {self.x}")
         if not (0 < self.T < math.inf):
             raise ParameterError(f"T must be positive and finite, got {self.T}")
         if self.c is None:
@@ -62,8 +62,6 @@ class PerronParams:
         except OverflowError:  # x^s on the contour would be inf, and the integral nan
             raise ParameterError(f"x^c overflows for x = {self.x} and c = {self.c}") from None
         object.__setattr__(self, "step", math.pi / (8.0 * math.log(self.x)))
-        if not (self.step > 0):  # x = inf
-            raise ParameterError("quadrature step must be positive")
         if not (2 * self.T / self.step <= MAX_NODES):
             raise ParameterError(
                 f"T = {self.T} at step {self.step:g} needs more than {MAX_NODES} quadrature nodes"

@@ -34,6 +34,12 @@ def log_tolerance(x: float) -> float:
     return LOG_TIE_TOL * max(1.0, math.log(x)) if x > 0 else LOG_TIE_TOL
 
 
+def log_top(x: float) -> float:
+    """The log top of a cut at x > 0: every count, sum and table cut at x holds the
+    values v with log v <= log x + log_tolerance(x)."""
+    return math.log(x) + log_tolerance(x)
+
+
 def per_system(build):
     """Cache `build(system, *args)` in the system's `_derived` dict, which dies with it.
 

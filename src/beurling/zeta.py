@@ -27,7 +27,7 @@ import numpy as np
 # zeta._psi_profile, which is not called here
 from .counting import _power_sum_leq, _prime_powers, _psi_profile, _sorted_logs_leq  # noqa: F401
 from .errors import DivergenceError, FitError, ParameterError, PoleError
-from .systems import GPrimeSystem, log_tolerance, per_system
+from .systems import GPrimeSystem, log_top, per_system
 
 DIVERGENCE_ABSCISSA = 1.0
 
@@ -80,8 +80,7 @@ def zeta_euler(system: GPrimeSystem, s: complex, prime_cutoff: float | None = No
         raise ParameterError(f"prime cutoff {X} is outside (0, {system.limit}]")
     _check_phase(s, X)
     logs = system.log_primes
-    lx = math.log(X) + log_tolerance(X)
-    sel = logs[logs <= lx]
+    sel = logs[logs <= log_top(X)]
     w = np.exp(-s * sel)
     value = complex(np.exp(-np.sum(np.log1p(-w))))
     sigma = s.real
@@ -104,7 +103,7 @@ def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | Non
     if not (1 <= X <= system.limit):
         raise ParameterError(f"integer cutoff {X} is outside [1, {system.limit}]")
     _check_phase(s, X)
-    value, count = _power_sum_leq(system, math.log(X), log_tolerance(X), s)
+    value, count = _power_sum_leq(system, log_top(X), s)
     rho_hat = count / X
     sigma = s.real
     tail = rho_hat * X ** (1 - sigma) / (sigma - 1)

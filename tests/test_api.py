@@ -90,3 +90,16 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         )
     ]
     assert not unset, "defaults that no call overrides: " + ", ".join(unset)
+
+
+def test_only_systems_forms_the_log_top():
+    """A cut at x holds log v <= log x + log_tolerance(x), and only `systems.log_top`
+    forms that sum: every other module takes the one top it returns."""
+    callers = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name == "log_tolerance" and path.name != "systems.py":
+                callers.append(f"{path.name}:{node.lineno}")
+    assert not callers, "log_tolerance called outside systems.py: " + ", ".join(callers)

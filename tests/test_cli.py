@@ -96,6 +96,8 @@ def test_usage_error_one_line_exit_2(capsys, argv):
     "argv",
     [
         "perron --system list:2,3 --limit 100 --x 10.5 --T 10 --c inf",
+        "perron --system builtin:rationals --limit 100 --x inf --T 10",
+        "perron --system builtin:rationals --limit 100 --x inf --T 10 --c 1.5",
         "zeta --system list:2,3 --limit 100 --s 2 --cutoff 0",
         "fe-check --pair theta --limit 100 --x-min 0",
         "fe-check --pair theta --limit 100 --x-points -1",

@@ -22,6 +22,7 @@ from beurling import (
     stream_gintegers,
     von_mangoldt,
 )
+from beurling import counting
 from beurling.cli import main
 from beurling.counting import (
     _collect_logs_leq,
@@ -309,6 +310,15 @@ def test_gap_window_shifts_near_integer():
     assert len(inside) == 0
 
 
+def test_gap_window_with_no_free_point():
+    """Near 2 the powers of 1.01 lie closer than r = 1/x**2: no candidate is free,
+    and the result names the tightest pair in range."""
+    w = gap_window(from_list([1.01], 100), 2.0)
+    assert not w.found and not w.shifted and w.center == 2.0 and w.radius == 0.25
+    assert w.obstruction == "tightest gap 1.000e-02 between 1.000000 and 1.010000"
+    assert w.below < 2.0 < w.above
+
+
 def test_gap_window_x_too_small():
     with pytest.raises(ParameterError):
         gap_window(rational_primes(100), 1.0)
@@ -322,14 +332,16 @@ def test_prime_power_table():
     assert abs(np.sum(W) - psi(s, 10)) <= 1e-12
 
 
-def test_materialise_caps():
+def test_materialise_caps(monkeypatch):
     s = rational_primes(10**4)
-    with pytest.warns(UserWarning):
-        g_integer_values(s, 10**4 - 0.5, warn_cap=100)
+    with monkeypatch.context() as patch, pytest.warns(UserWarning):
+        patch.setattr(counting, "MATERIALISE_WARN_CAP", 100)
+        g_integer_values(s, 10**4 - 0.5)
     from beurling.errors import MaterialisationError
 
-    with pytest.raises(MaterialisationError):
-        g_integer_values(s, 10**4 - 0.5, refuse_cap=100)
+    with monkeypatch.context() as patch, pytest.raises(MaterialisationError):
+        patch.setattr(counting, "MATERIALISE_REFUSE_CAP", 100)
+        g_integer_values(s, 10**4 - 0.5)
 
 
 def _walk_systems():
@@ -350,9 +362,9 @@ def test_walk_consumers_agree_with_stream(system):
         lb, tol = math.log(bound), log_tolerance(bound)
         stream = list(stream_gintegers(system, bound))
         s = complex(rng.uniform(1.1, 3.0), rng.uniform(-20.0, 20.0))
-        value, count = _power_sum_leq(system, lb, tol, s)
-        n = _count_leq(system, lb, tol)
-        assert n == len(_collect_logs_leq(system, lb, tol)) == count == len(stream)
+        value, count = _power_sum_leq(system, lb + tol, s)
+        n = _count_leq(system, lb + tol)
+        assert n == len(_collect_logs_leq(system, lb + tol)) == count == len(stream)
         brute = sum(np.exp(-s * g.log_value) for g in stream)
         assert abs(value - brute) <= 1e-12 * sum(np.exp(-s.real * g.log_value) for g in stream)
 
@@ -379,7 +391,7 @@ def _boundary_brute_force(system, grid):
     """The boundary-hit definition, one full scan per grid point."""
     grid = np.asarray(sorted(grid))
     top = grid[-1]
-    vals_log = np.sort(_collect_logs_leq(system, math.log(top), log_tolerance(top)))
+    vals_log = np.sort(_collect_logs_leq(system, math.log(top) + log_tolerance(top)))
     grid_log = np.log(grid) + np.array([log_tolerance(x) for x in grid])
     return [
         float(x)

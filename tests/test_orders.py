@@ -7,7 +7,7 @@ import pytest
 from beurling import orders
 
 from beurling import from_list, power_system, rational_primes
-from beurling.errors import ParameterError, PreconditionError
+from beurling.errors import AxiomSearchError, ParameterError, PreconditionError
 from beurling.orders import (
     EQ,
     GT,
@@ -92,6 +92,24 @@ def test_check_axioms_violation_fixture():
     # re-checkable witness
     assert a[0] <= b[0] and a[1] <= b[1]
     assert verdict == GT or (a[1] < b[1] and verdict != LT)
+
+
+def test_check_axioms_a2_counterexample():
+    """m + n respects A1 but not A2: (1, 2) and (2, 1) tie, and doubled they do not."""
+    def by_sum(a, b):
+        ka, kb = a[0] + a[1], b[0] + b[1]
+        return LT if ka < kb else (EQ if ka == kb else GT)
+
+    rep = check_axioms(FunctionOracle(by_sum), (3, 3))
+    assert rep.a1_ok and not rep.a2_ok and not rep.all_pass
+    assert rep.a2_counterexample == ((1, 2), (2, 1), 2, EQ, GT)
+
+
+def test_f_k_search_failures():
+    with pytest.raises(AxiomSearchError, match=rf"after {orders.MAX_DOUBLINGS} doublings; axiom A3"):
+        f_k(FunctionOracle(lambda a, b: LT), 2, 3)
+    with pytest.raises(AxiomSearchError, match=r"^\(1,1\) already exceeds \(2, 3\); axiom A1"):
+        f_k(FunctionOracle(lambda a, b: GT), 2, 3)
 
 
 def test_check_axioms_window_validation():

@@ -1,10 +1,10 @@
 """Derived tables cached on the system: prefix identity, lifetime, cache counters.
 
 The partition-sum table is built once per system, up to its horizon; the
-prime-power table grows from the first bound asked to min(horizon, bound**2)
-as bounds pass it, and so do the walk's nodes.  Every bound reads a prefix of
-them; a prime-power prefix must equal the per-bound loop kept in
-test_references.py.
+prime-power table grows from the first bound asked to twice its log top, up
+to the horizon's, as bounds pass it, and so do the walk's nodes.  Every bound
+reads a prefix of them; a prime-power prefix must equal the per-bound loop
+kept in test_references.py.
 """
 import gc
 import math
@@ -29,6 +29,7 @@ from beurling import counting, mellin, zeta
 from beurling.counting import _prime_powers, prime_power_table
 from beurling.mellin import KERNELS, Kernel, partition_F
 from beurling.perron import PerronParams, perron_psi
+from beurling.systems import log_top
 from beurling.zeta import phi_continued, phi_dirichlet, zeta_dirichlet, zeta_euler
 from test_references import reference_prime_powers
 
@@ -84,7 +85,7 @@ def test_partition_slice_is_the_materialised_prefix(system):
         assert np.array_equal(seen[-1], g_integer_values(system, cutoff)), cutoff
 
 
-def test_infinite_horizon_builds_per_call():
+def test_infinite_horizon_grows_its_table_by_the_same_rule():
     unbounded = from_list([2, 3], math.inf)
     bounded = from_list([2, 3], 1e4)
     for cutoff in (10.0, 97.5, 1e4):
@@ -143,14 +144,16 @@ def test_tables_are_built_once_per_system(monkeypatch):
 
 
 def test_prime_power_table_grows_from_the_bound(monkeypatch):
-    """A bound past the table rebuilds it to min(horizon, bound**2), not to the horizon."""
+    """A bound past the table rebuilds it to twice its log top, up to the horizon's,
+    not to the horizon."""
     builds = _count_calls(monkeypatch, counting, "_build_prime_powers", [])
     system = from_list([1.001, 2.0], 1e300)
     for bound in (10.0, 50.0, 100.0, 101.0, 1e5, 1e200):
         L, W = prime_power_table(system, bound)
         ref_L, ref_W, _ = reference_prime_powers(system, bound)
         assert np.array_equal(L, ref_L) and np.array_equal(W, ref_W), bound
-    assert [top for _, top in builds] == [100.0, 101.0**2, 1e10, 1e300]
+    tops = [2 * log_top(10.0), 2 * log_top(101.0), 2 * log_top(1e5), log_top(1e300)]
+    assert [top for _, top in builds] == tops
 
 
 def test_cache_info_one_miss_then_hits():

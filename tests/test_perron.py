@@ -72,6 +72,9 @@ def test_param_validation():
         PerronParams(x=10, T=-1)
     with pytest.raises(ParameterError):
         PerronParams(x=10, T=100, c=0.9)
+    for c in (None, 1.5):  # x = inf is named, not reached through c or the step
+        with pytest.raises(ParameterError, match=r"^perron needs 2 < x < inf, got inf$"):
+            PerronParams(x=math.inf, T=10, c=c)
 
 
 def test_scan_errors_decrease(rp1e4):

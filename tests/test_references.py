@@ -209,8 +209,8 @@ def test_walk_is_the_depth_first_walk(case):
     # and with no tolerance, log bounds that the largest prime and the smallest
     # prime's square meet exactly: a child on the bound, a chain on its edge
     for lb, tol in [(math.log(bound), log_tolerance(bound)), (last, 0.0), (2 * first, 0.0)]:
-        assert counting._count_leq(system, lb, tol) == dfs_count(system, lb, tol)
-        got = np.sort(counting._collect_logs_leq(system, lb, tol))
+        assert counting._count_leq(system, lb + tol) == dfs_count(system, lb, tol)
+        got = np.sort(counting._collect_logs_leq(system, lb + tol))
         assert got.tobytes() == np.sort(dfs_collect(system, lb, tol)).tobytes()
 
 
@@ -218,7 +218,7 @@ def test_walk_batches_whole_chains():
     """A batch sums whole chains: 1.001 has 6911 powers below 1e3, which a walk
     taking one round per unit of exponent would take 6911 rounds over."""
     system = from_list([1.001, 2.0], 1e300)
-    assert len(list(counting._batches(system, math.log(1e3), log_tolerance(1e3)))) <= 3
+    assert len(list(counting._batches(system, math.log(1e3) + log_tolerance(1e3)))) <= 3
 
 
 @pytest.mark.parametrize("piece", [1, 7])
@@ -230,10 +230,10 @@ def test_piece_size_changes_no_result(monkeypatch, piece):
             (from_list([1.01, 1.5, 2.0], 1e300), 60.0),
         ]:
             lb, tol = math.log(bound), log_tolerance(bound)
-            logs = np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes()
-            yield counting._count_leq(system, lb, tol), logs, items(stream_gintegers(system, bound))
+            logs = np.sort(counting._collect_logs_leq(system, lb + tol)).tobytes()
+            yield counting._count_leq(system, lb + tol), logs, items(stream_gintegers(system, bound))
             for s in (2.0 + 0j, 1.5 - 300.0j):
-                value, count = counting._power_sum_leq(system, lb, tol, s)
+                value, count = counting._power_sum_leq(system, lb + tol, s)
                 yield value.real.hex(), value.imag.hex(), count
 
     expected = list(results())
@@ -242,7 +242,7 @@ def test_piece_size_changes_no_result(monkeypatch, piece):
 
 
 def assert_same_power_sum(system, log_bound, tol, s):
-    value, count = counting._power_sum_leq(system, log_bound, tol, s)
+    value, count = counting._power_sum_leq(system, log_bound + tol, s)
     want, want_count = dfs_power_sum(system, log_bound, tol, s)
     assert value.real == want.real and value.imag == want.imag and count == want_count
     assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
@@ -292,9 +292,10 @@ def test_power_sum_starts_from_positive_zero():
 
 def test_power_sum_under_an_infinite_horizon():
     system = from_list([2.0, 3.0], math.inf)
-    for walk in (counting._power_sum_leq, dfs_power_sum):
-        with pytest.raises(ParameterError, match=r"^cannot walk to the log bound inf$"):
-            walk(system, math.inf, 0.0, 2 + 1j)
+    with pytest.raises(ParameterError, match=r"^cannot walk to the log bound inf$"):
+        counting._power_sum_leq(system, math.inf, 2 + 1j)
+    with pytest.raises(ParameterError, match=r"^cannot walk to the log bound inf$"):
+        dfs_power_sum(system, math.inf, 0.0, 2 + 1j)
 
 
 def reference_nearest(system, x, halfwidth=4.0):
@@ -302,10 +303,7 @@ def reference_nearest(system, x, halfwidth=4.0):
     x - halfwidth up to min(limit, 2x + halfwidth), cut from one walk's table."""
     counting._check_bound(system, x + halfwidth, "scan upper edge")
     hi = min(system.limit, 2 * x + halfwidth)
-    lb, tol = counting._capped_bound(
-        system, hi, counting.MATERIALISE_WARN_CAP, counting.MATERIALISE_REFUSE_CAP
-    )
-    logs = counting._collect_logs_leq(system, lb, tol)
+    logs = counting._collect_logs_leq(system, counting._capped_bound(system, hi))
     lo = x - halfwidth
     if lo > 0:  # sort and exponentiate only the window; the margin is far above exp's rounding
         logs = logs[logs >= math.log(lo) - 1e-9]
@@ -404,9 +402,9 @@ def node_answers(system, bounds, s):
     out = []
     for bound in bounds:
         lb, tol = math.log(bound), log_tolerance(bound)
-        value, count = counting._power_sum_leq(system, lb, tol, s)
-        out.append((counting._count_leq(system, lb, tol), value.real.hex(), value.imag.hex(), count))
-        out.append(np.sort(counting._collect_logs_leq(system, lb, tol)).tobytes())
+        value, count = counting._power_sum_leq(system, lb + tol, s)
+        out.append((counting._count_leq(system, lb + tol), value.real.hex(), value.imag.hex(), count))
+        out.append(np.sort(counting._collect_logs_leq(system, lb + tol)).tobytes())
         out.append(items(stream_gintegers(system, bound)))
         x = min(bound, system.limit - 3.0)
         if x > 0:
@@ -432,7 +430,7 @@ def walked_answers(system, bounds, s):
 
 
 def horizon_nodes(system):
-    return counting._nodes(system, math.log(system.limit), log_tolerance(system.limit))
+    return counting._nodes(system, math.log(system.limit) + log_tolerance(system.limit))
 
 
 @given(systems_and_bounds(near_one=True, most=500), st.lists(st.floats(0.0, 1.0), max_size=2), S_POINTS)
@@ -497,7 +495,7 @@ def test_nodes_on_the_edge_of_their_test():
     out = nodes.step[1:] > (tops - nodes.vpar[1:]) / 2
     assert out.any() and not out.all()
     for top in tops:
-        assert counting._count_leq(system, top, 0.0) == dfs_count(system, top, 0.0)
+        assert counting._count_leq(system, top) == dfs_count(system, top, 0.0)
 
 
 def test_nodes_grow_to_the_square_of_the_bound():
@@ -565,11 +563,13 @@ def test_a_refusal_walks_in_time_that_grows_with_the_cap(monkeypatch):
             yield batch
 
     monkeypatch.setattr(counting, "_batches", counted)
+    monkeypatch.setattr(counting, "MATERIALISE_WARN_CAP", 10)
+    monkeypatch.setattr(counting, "MATERIALISE_REFUSE_CAP", 100)
     system = from_list([1 + 2**-52], 1e10)
     for bound in (1.000000001, 1.00000001):
         walked.clear()
         with pytest.raises(MaterialisationError, match=r"^\d+ g-integers exceed the cap 100$"):
-            g_integer_values(fresh(system), bound, 10, 100)
+            g_integer_values(fresh(system), bound)
         assert sum(walked) <= 2 * (counting.NODE_CAP + counting.PIECE)
 
 
@@ -1000,7 +1000,7 @@ def systems_near_one(draw):
 @given(systems_near_one())
 def test_prime_power_table_is_the_prime_loop(case):
     system, bound = case
-    got = counting._build_prime_powers(system, bound)
+    got = counting._build_prime_powers(system, math.log(bound) + log_tolerance(bound))
     for a, b in zip(got, reference_prime_powers(system, bound)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), bound
 
@@ -1066,7 +1066,7 @@ def test_prime_power_table_at_the_log_bound_of_a_power():
                 lb = math.log(bound) + log_tolerance(bound)
                 ties += lb == s
                 under += int(lb / lp) < k
-                got = counting._build_prime_powers(system, bound)
+                got = counting._build_prime_powers(system, lb)
                 for a, b in zip(got, reference_prime_powers(system, bound)):
                     assert a.tobytes() == b.tobytes(), (primes, k, bound)
     assert ties and under  # both edges were met
