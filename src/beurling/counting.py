@@ -33,7 +33,7 @@ from .errors import (
     MaterialisationError,
     ParameterError,
 )
-from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_top, per_system
+from .systems import GInteger, GPrimeSystem, LOG_TIE_TOL, log_top, log_tops, per_system
 
 MATERIALISE_WARN_CAP = 10**7
 MATERIALISE_REFUSE_CAP = 10**8
@@ -648,9 +648,11 @@ def gap_window(system: GPrimeSystem, x: float) -> GapWindow:
     for v, w in zip(inside[:-1], inside[1:]):
         candidates.append(0.5 * (v + w))
     for v in inside:
-        rv = radius(v)
-        candidates.append(v - rv * 1.0000001)
-        candidates.append(v + rv * 1.0000001)
+        # two ulps of v beyond the ball edge: the rounded candidate still clears
+        # r, and above 2e5, where r(v) is below half an ulp, it still leaves v
+        step = radius(v) * 1.0000001 + 2 * np.spacing(v)
+        candidates.append(v - step)
+        candidates.append(v + step)
     candidates = [c for c in candidates if x - 3 < c < x + 3 and c >= 2]
     candidates.sort(key=lambda c: abs(c - x))
     for c in candidates:
@@ -658,8 +660,9 @@ def gap_window(system: GPrimeSystem, x: float) -> GapWindow:
             below, above = neighbours(c)
             return GapWindow(c, radius(c), True, below, above, shifted=(c != x))
     # densest obstruction: the tightest pair of g-integers in range.  There are at
-    # least two: with none in range x qualifies, and with one, v, x or
-    # v + r(v) * 1.0000001 does
+    # least two: with none in range x is 3 or more from every g-integer and
+    # qualifies; with one, v, x qualifies unless it lies within r(x) <= 1/4 of v,
+    # and then v's upper candidate, in (2, x + 1) and at least r from v, qualifies
     gaps = np.diff(inside)
     k = int(np.argmin(gaps))
     obstruction = f"tightest gap {gaps[k]:.3e} between {inside[k]:.6f} and {inside[k+1]:.6f}"
@@ -698,10 +701,7 @@ def counting_report(system: GPrimeSystem, grid) -> CountingReport:
     _check_bound(system, top, "grid maximum")
 
     vals_log = _sorted_logs_leq(system, top)
-    # math.log, as count_N, count_pi and psi take it: numpy's log may round otherwise
-    lx = np.fromiter(map(math.log, grid.tolist()), float, len(grid))
-    tols = LOG_TIE_TOL * np.maximum(1.0, lx)  # log_tolerance at each point, bit for bit
-    grid_log = lx + tols
+    grid_log, tols = log_tops(grid)  # count_N's, count_pi's and psi's tops
     N = np.searchsorted(vals_log, grid_log, side="right")
     # The kernel counts a leaf v + logs[j] at t when logs[j] <= fl(t - v), the sort
     # when fl(v + logs[j]) <= t.  They agree unless that float is within 2 ulps of t,

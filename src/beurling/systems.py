@@ -40,6 +40,14 @@ def log_top(x: float) -> float:
     return math.log(x) + log_tolerance(x)
 
 
+def log_tops(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`log_top` and `log_tolerance` at each point of xs >= 1, bit for bit: the
+    logs are math.log's, which numpy's log may round otherwise."""
+    lx = np.fromiter(map(math.log, xs.tolist()), float, len(xs))
+    tols = LOG_TIE_TOL * np.maximum(1.0, lx)
+    return lx + tols, tols
+
+
 def per_system(build):
     """Cache `build(system, *args)` in the system's `_derived` dict, which dies with it.
 

@@ -92,14 +92,27 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert not unset, "defaults that no call overrides: " + ", ".join(unset)
 
 
+def called_name(node):
+    func = getattr(node, "func", None)
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
 def test_only_systems_forms_the_log_top():
     """A cut at x holds log v <= log x + log_tolerance(x), and only `systems.log_top`
-    forms that sum: every other module takes the one top it returns."""
-    callers = []
+    and `systems.log_tops` form that sum: every other module takes the tops they
+    return, and neither calls log_tolerance nor restates its LOG_TIE_TOL * max(1, log x)."""
+    formers = []
     for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "systems.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            func = getattr(node, "func", None)
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if isinstance(node, ast.Call) and name == "log_tolerance" and path.name != "systems.py":
-                callers.append(f"{path.name}:{node.lineno}")
-    assert not callers, "log_tolerance called outside systems.py: " + ", ".join(callers)
+            calls = isinstance(node, ast.Call) and called_name(node) == "log_tolerance"
+            restates = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mult)
+                and {getattr(node.left, "id", None), getattr(node.right, "id", None)} & {"LOG_TIE_TOL"}
+                and {called_name(node.left), called_name(node.right)} & {"max", "maximum"}
+            )
+            if calls or restates:
+                formers.append(f"{path.name}:{node.lineno}")
+    assert not formers, "log tolerance formed outside systems.py: " + ", ".join(formers)

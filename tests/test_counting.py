@@ -28,6 +28,7 @@ from beurling.counting import (
     _collect_logs_leq,
     _count_leq,
     _power_sum_leq,
+    nearest_gintegers,
     prime_power_table,
 )
 from beurling.errors import IncompleteSystemError, ParameterError
@@ -317,6 +318,19 @@ def test_gap_window_with_no_free_point():
     assert not w.found and not w.shifted and w.center == 2.0 and w.radius == 0.25
     assert w.obstruction == "tightest gap 1.000e-02 between 1.000000 and 1.010000"
     assert w.below < 2.0 < w.above
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 13.0])
+def test_gap_window_at_a_lone_g_integer(p):
+    """At x a lone g-integer's own float the scan steps off it, also above 2e5,
+    where r(x) is below half an ulp of x and x +- r(x) rounds back to x."""
+    s = from_list([p], 1e7)
+    for v in g_integer_values(s, 1e7)[1:].tolist():
+        w = gap_window(s, v)
+        assert w.found and w.shifted and v in (w.below, w.above)
+        lo, hi = w.interval
+        vals = nearest_gintegers(s, v, 4.0)
+        assert not ((vals > lo) & (vals < hi)).any()
 
 
 def test_gap_window_x_too_small():
