@@ -207,7 +207,7 @@ def cmd_count(args) -> int:
 def _mellin_identity(system, s: complex, cutoff: float | None) -> TailedValue:
     """The Mellin-identity residual as a value with no tail."""
     x_max = cutoff if cutoff is not None else system.limit
-    return TailedValue(complex(zeta_mellin_identity_check(system, s, x_max)), 0.0, "mellin", x_max)
+    return TailedValue(complex(zeta_mellin_identity_check(system, s, x_max)), 0.0, x_max)
 
 
 # --method name -> evaluator(system, s, cutoff); the keys are the choices.  The
@@ -335,7 +335,7 @@ def cmd_fe_check(args) -> int:
         if kernel is None:
             raise ParameterError(f"unknown kernel {args.kernel!r}")
         expansion = _load_expansion(args.expansion or args.kernel)
-        spec1 = spec2 = PartitionSpec(system, kernel, expansion, "custom")
+        spec1 = spec2 = PartitionSpec(system, kernel, expansion)
         with open(args.h_file) as fh:
             H = residual_series_from_json(fh.read())
     xs = np.geomspace(args.x_min, args.x_max, args.x_points)

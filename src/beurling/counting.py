@@ -61,10 +61,9 @@ class GIntegerStream:
     leaves of the system's kept nodes (`_segments`).
     """
 
-    def __init__(self, source: GPrimeSystem, bound: float):
-        top = _capped_bound(source, bound)
-        self.source, self.bound = source, bound
-        self._items = itertools.chain.from_iterable(_segments(top, _nodes_or_walk(source, top)))
+    def __init__(self, system: GPrimeSystem, bound: float):
+        top = _capped_bound(system, bound)
+        self._items = itertools.chain.from_iterable(_segments(top, _nodes_or_walk(system, top)))
 
     def __iter__(self):
         return self

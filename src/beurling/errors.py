@@ -40,9 +40,8 @@ class DivergenceError(BeurlingError):
 class PoleError(BeurlingError):
     """Evaluation requested at (or too close to) a pole."""
 
-    def __init__(self, message: str, location: complex = None, order: int = None):
+    def __init__(self, message: str, order: int):
         super().__init__(message)
-        self.location = location
         self.order = order
 
 

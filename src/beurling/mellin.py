@@ -203,7 +203,7 @@ def partition_F(
     vals = values[: np.searchsorted(logs, log_top(cutoff), side="right")]
     total = complex(np.sum(_kernel_apply(kernel, vals * x)))
     tail = rho * kernel.tail(float(cutoff), x)
-    return TailedValue(total, float(tail), "partition", float(cutoff))
+    return TailedValue(total, float(tail), float(cutoff))
 
 
 def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
@@ -240,7 +240,7 @@ def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
 
     v1, e1 = mp.quad(low, [0, mp.inf], error=True)
     v2, e2 = mp.quad(high, [0, mp.inf], error=True)
-    return TailedValue(complex(v1 + v2), float(e1 + e2), "mellin-G", math.inf)
+    return TailedValue(complex(v1 + v2), float(e1 + e2), math.inf)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,6 @@ class ExpansionReport:
 
     accepted: bool
     term_slopes: tuple[float, ...]
-    required: tuple[float, ...]
     remainder_slope: float
     reason: str = ""
 
@@ -280,22 +279,18 @@ def verify_expansion(samples, expansion: AsymptoticExpansion) -> ExpansionReport
         return float(sol[0])
 
     slopes = []
-    required = []
     accepted = True
     reason = ""
     if not expansion.terms:
         slope = fit_slope(fs)
         ok = slope > -EXPANSION_MARGIN
-        return ExpansionReport(
-            ok, (), (), slope, "" if ok else "F unbounded at 0+ but expansion empty"
-        )
+        return ExpansionReport(ok, (), slope, "" if ok else "F unbounded at 0+ but expansion empty")
     for n in range(1, len(expansion.terms) + 1):
         prefix = AsymptoticExpansion(expansion.terms[:n])
         rem = fs - np.array([prefix.leading_sum(x) for x in xs])
         slope = fit_slope(rem)
         need = -complex(expansion.terms[n - 1][0]).real + EXPANSION_MARGIN
         slopes.append(slope)
-        required.append(need)
         if slope < need:
             accepted = False
             reason = (
@@ -303,7 +298,7 @@ def verify_expansion(samples, expansion: AsymptoticExpansion) -> ExpansionReport
                 f"not faster than the last term x^{need - EXPANSION_MARGIN:.3g}"
             )
             break
-    return ExpansionReport(accepted, tuple(slopes), tuple(required), slopes[-1], reason)
+    return ExpansionReport(accepted, tuple(slopes), slopes[-1], reason)
 
 
 def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
@@ -314,9 +309,7 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
     if hit is not None:
         lam, order = hit
         raise PoleError(
-            f"s = {s} is at the expansion pole lambda = {lam} (order {order})",
-            location=lam,
-            order=order,
+            f"s = {s} is at the expansion pole lambda = {lam} (order {order})", order=order
         )
     if not (s.real < beta):
         raise StripError(f"Re s = {s.real} not below the decay exponent beta = {beta}")
@@ -330,8 +323,7 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
 
     # walk xmin down until the neglected (0, xmin] piece is under QUAD_TARGET
     xmin = 0.5
-    bound_below = math.inf
-    for _ in range(40):
+    while True:
         probe = F(xmin)
         mag = abs(complex(probe.value) - expansion.leading_sum(xmin)) + probe.tail_bound
         if rem_lam is None:
@@ -370,7 +362,7 @@ def _mellin_quad(F, expansion: AsymptoticExpansion, s: complex, xmin: float, bou
     )
     value = complex(v1) + expansion.pole_terms(s) + complex(v2)
     tail = float(e1 + e2) + bound_below
-    return TailedValue(value, tail, "mellin-continued", xmin)
+    return TailedValue(value, tail, xmin)
 
 
 def continue_Gzeta(
@@ -425,9 +417,6 @@ class RationalPoleSum:
     def negated(self) -> "RationalPoleSum":
         return RationalPoleSum(tuple((p, k, -c) for p, k, c in self.terms))
 
-    def poles(self) -> tuple[complex, ...]:
-        return tuple(p for p, _, _ in self.terms)
-
 
 def h_transform(H: ResidualSeries) -> RationalPoleSum:
     """H1(s) = int_0^1 x^{s-1} H(x) dx as a rational function.
@@ -449,8 +438,7 @@ class PartitionSpec:
 
     system: GPrimeSystem
     kernel: Kernel
-    expansion: AsymptoticExpansion | None = None
-    label: str = ""
+    expansion: AsymptoticExpansion
 
     def F(self, x: float, tail_tol: float = 1e-15) -> TailedValue:
         return partition_F(self.system, self.kernel, x, tail_tol=tail_tol)
@@ -465,7 +453,7 @@ def theta_pair(limit: float = 10**4):
     from .systems import rational_primes
 
     system = rational_primes(limit)
-    spec = PartitionSpec(system, KERNELS["gauss"], EXPANSIONS["gauss"], "theta")
+    spec = PartitionSpec(system, KERNELS["gauss"], EXPANSIONS["gauss"])
     H = ResidualSeries.from_terms([(0.5, -1.0, 0), (-0.5, 0.0, 0)])
     return spec, spec, H
 
@@ -504,8 +492,6 @@ def check_fe_mellin(spec1: PartitionSpec, spec2: PartitionSpec, s_grid) -> FEMel
     relation), so agreement is evidence, not construction.  Grid points
     within FE_POLE_SKIP of a declared pole of either side are skipped.
     """
-    if spec1.expansion is None or spec2.expansion is None:
-        raise ParameterError("both partition specs need a declared 0+ expansion")
     poles = [complex(lam) for lam, _ in spec2.expansion.terms]
     poles += [1 - complex(lam) for lam, _ in spec1.expansion.terms]
     rows = []

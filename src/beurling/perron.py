@@ -29,10 +29,10 @@ from .counting import PIECE, nearest_gintegers, prime_power_table, psi as psi_ex
 from .errors import IncompleteSystemError, ParameterError, UnstablePointError
 from .systems import GPrimeSystem
 
-# quadrature nodes of one contour, at most: this bounds the grid, not the phase tables,
-# which hold about 2 * K * terms * 16 bytes (K ~ sqrt(nodes), terms = prime powers up to
-# min(x^2, limit))
-MAX_NODES = 10**7
+MAX_NODES = 10**7  # quadrature nodes of one contour, at most
+# bytes of the two phase tables, at most: (K + rows) * terms * 16, with K ~ sqrt(nodes),
+# rows = nodes / K and terms the prime powers up to min(x^2, limit)
+MAX_TABLE_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ class PerronResult:
     value: float
     imag_residual: float
     budget: PerronBudget
-    params: PerronParams
-    phi_cutoff: float
     nodes: int
 
 
@@ -106,6 +104,12 @@ def _phases(u, L, w=None) -> np.ndarray:
     return table
 
 
+def _blocks(n: int) -> tuple[int, int]:
+    """(K, rows) of `_phi_on_line`'s factorisation of an n-node grid: j = a*K + b, a < rows."""
+    K = min(4096, max(64, int(math.sqrt(n)))) if n > 1 else 1
+    return K, (n + K - 1) // K
+
+
 def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
     """phi(c + i t_j) for a uniform grid t, via a phase-factorised product.
 
@@ -115,8 +119,7 @@ def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
     """
     n = len(t)
     h = t[1] - t[0] if n > 1 else 0.0
-    K = min(4096, max(64, int(math.sqrt(n)))) if n > 1 else 1
-    rows = (n + K - 1) // K
+    K, rows = _blocks(n)
     B = _phases(np.arange(K) * h, L)
     out = np.empty((rows, K), complex)
 
@@ -141,8 +144,9 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
     """Numerical Perron integral for psi(x), with a bounding error budget.
 
     Raises UnstablePointError when x sits within the gap tolerance 1/x^2 of a
-    g-integer (re-site via gap_window) and IncompleteSystemError when the
-    near range (x/2, 2x) is not below the system horizon.
+    g-integer (re-site via gap_window), IncompleteSystemError when the near
+    range (x/2, 2x) is not below the system horizon, and ParameterError, before
+    any table is built, when the phase tables would pass MAX_TABLE_BYTES.
     """
     x, T, c = params.x, params.T, params.c
     if x >= system.limit:
@@ -151,7 +155,8 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
         raise IncompleteSystemError(
             f"near range (x/2, 2x) = ({x/2:g}, {2*x:g}) exceeds horizon {system.limit}"
         )
-    vals = nearest_gintegers(system, x, halfwidth=3.0)
+    # x +- 1 holds every g-integer within the gap tolerance 1/x^2 < 1/4, and x + 1 < 2x <= limit
+    vals = nearest_gintegers(system, x, halfwidth=1.0)
     gap_tol = 1.0 / (x * x)
     if len(vals) and np.min(np.abs(vals - x)) < gap_tol:
         nearest = float(vals[np.argmin(np.abs(vals - x))])
@@ -160,15 +165,21 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
             "re-site with gap_window"
         )
 
-    cutoff = min(x * x, system.limit)
-    L, W = prime_power_table(system, cutoff)
-    lx = math.log(x)
-    wc = W * np.exp(-c * L)
-
+    L, W = prime_power_table(system, min(x * x, system.limit))
     n = int(math.ceil(2 * T / params.step))
     if n % 2 == 1:
         n += 1
     n += 1  # symmetric grid including t = 0
+    K, rows = _blocks(n)
+    size = (K + rows) * len(L) * 16
+    if size > MAX_TABLE_BYTES:
+        raise ParameterError(
+            f"x = {x} and T = {T} need {size / 2**30:.2f} GiB of phase tables, "
+            f"more than {MAX_TABLE_BYTES / 2**30:g} GiB"
+        )
+
+    lx = math.log(x)
+    wc = W * np.exp(-c * L)
     t = np.linspace(-T, T, n)
     phi_line = _phi_on_line(L, wc.astype(complex), t, threads=threads)
     s = c + 1j * t
@@ -193,8 +204,6 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
         value=float(integral_fine.real),
         imag_residual=float(abs(integral_fine.imag)),
         budget=budget,
-        params=params,
-        phi_cutoff=cutoff,
         nodes=n,
     )
 
@@ -213,8 +222,6 @@ class PerronScan:
 
 
 def _median3(seq: list[float]) -> list[float]:
-    if len(seq) < 3:
-        return list(seq)
     out = [seq[0]]
     for a, b, cc in zip(seq, seq[1:], seq[2:]):
         out.append(sorted((a, b, cc))[1])

@@ -186,13 +186,7 @@ def g_multiply(system: GPrimeSystem, u: GInteger, v: GInteger) -> GInteger:
 
 def from_list(values: Iterable[float], limit: float, label: str = "") -> GPrimeSystem:
     """Validated system from an explicit list; duplicates kept as multiplicity."""
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        raise EmptySystemError("empty prime list")
-    for v in vals:
-        if not (v > 1.0):
-            raise InvalidPrimeError(f"prime {v!r} <= 1")
-    return GPrimeSystem(tuple(vals), float(limit), label or "explicit list")
+    return GPrimeSystem(tuple(sorted(float(v) for v in values)), float(limit), label or "explicit list")
 
 
 def _sieve(n: int) -> np.ndarray:
@@ -271,7 +265,6 @@ def from_file(path: str | Path) -> GPrimeSystem:
             vals.append(value)
     if not vals:
         raise EmptySystemError(f"no primes found in {path}")
-    vals.sort()
     if limit is None:
-        limit = vals[-1]
+        limit = max(vals)
     return from_list(vals, limit, label=f"file:{path}")

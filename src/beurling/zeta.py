@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,8 @@ class TailedValue:
 
     value: complex
     tail_bound: float
-    method: str
     cutoff: float
     warnings: tuple[str, ...] = ()
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 def _require_convergent(s: complex, what: str) -> None:
@@ -88,7 +84,7 @@ def zeta_euler(system: GPrimeSystem, s: complex, prime_cutoff: float | None = No
     tail_log = sigma * C * X ** (1 - sigma) / (sigma - 1)
     tail_log /= max(1e-300, 1.0 - X ** (-sigma))
     bound = abs(value) * math.expm1(tail_log) if tail_log < 700 else math.inf
-    return TailedValue(value, bound, "euler", X)
+    return TailedValue(value, bound, X)
 
 
 def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | None = None) -> TailedValue:
@@ -107,7 +103,7 @@ def zeta_dirichlet(system: GPrimeSystem, s: complex, integer_cutoff: float | Non
     rho_hat = count / X
     sigma = s.real
     tail = rho_hat * X ** (1 - sigma) / (sigma - 1)
-    return TailedValue(complex(value), float(tail), "dirichlet", X)
+    return TailedValue(complex(value), float(tail), X)
 
 
 def phi_dirichlet(system: GPrimeSystem, s: complex, cutoff: float | None = None) -> TailedValue:
@@ -123,7 +119,7 @@ def phi_dirichlet(system: GPrimeSystem, s: complex, cutoff: float | None = None)
     sigma = s.real
     Cpsi = float(max(1.0, np.max(cum * np.exp(-L)))) if len(L) else 1.0
     tail = sigma * Cpsi * X ** (1 - sigma) / (sigma - 1)
-    return TailedValue(value, float(tail), "phi-dirichlet", X)
+    return TailedValue(value, float(tail), X)
 
 
 @per_system
@@ -182,7 +178,7 @@ def phi_continued(system: GPrimeSystem, s: complex, x_max: float | None = None) 
     """
     s = complex(s)
     if abs(s - 1) <= 1e-14:
-        raise PoleError("phi has a simple pole at s = 1", location=1.0, order=1)
+        raise PoleError("phi has a simple pole at s = 1", order=1)
     X = system.limit if x_max is None else float(x_max)
     if X > system.limit:
         raise ParameterError(f"x_max {X} exceeds system limit {system.limit}")
@@ -203,7 +199,7 @@ def phi_continued(system: GPrimeSystem, s: complex, x_max: float | None = None) 
             f"Re s = {sigma:g} is not above the fitted remainder exponent "
             f"{alpha:.3g}; continuation untrusted here",
         )
-    return TailedValue(value, float(tail), "phi-continued", X, warns)
+    return TailedValue(value, float(tail), X, warns)
 
 
 def zeta_mellin_identity_check(system: GPrimeSystem, s: complex, x_max: float) -> float:
@@ -238,8 +234,6 @@ class OrderFit:
     mu_hat: float
     intercept: float
     residuals: tuple[float, ...]
-    sigma: float
-    t_grid: tuple[float, ...]
     log_abs_zeta: tuple[float, ...]
 
 
@@ -269,7 +263,7 @@ def estimate_order(system: GPrimeSystem, sigma: float, t_grid) -> OrderFit:
     slope = _loglog_slope(xs, ys)
     intercept = float(np.mean(ys) - slope * np.mean(xs))
     resid = tuple(float(y - (slope * x + intercept)) for x, y in zip(xs, ys))
-    return OrderFit(slope, intercept, resid, sigma, tuple(ts), tuple(map(float, la)))
+    return OrderFit(slope, intercept, resid, tuple(map(float, la)))
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,6 @@ class AbSystemEstimate:
     theta_hat: float
     alpha_degenerate: bool
     beta_degenerate: bool
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def classify_ab(system: GPrimeSystem, x_grid) -> AbSystemEstimate:
@@ -320,9 +313,4 @@ def classify_ab(system: GPrimeSystem, x_grid) -> AbSystemEstimate:
 
     valid = [v for v in (alpha_hat, beta_hat) if math.isfinite(v)]
     theta = max(valid) if valid else float("nan")
-    diag = {
-        "psi_residuals": r_psi.tolist(),
-        "N_residuals": r_n.tolist(),
-        "grid_top": grid[half:].tolist(),
-    }
-    return AbSystemEstimate(alpha_hat, beta_hat, rho_hat, theta, alpha_deg, beta_deg, diag)
+    return AbSystemEstimate(alpha_hat, beta_hat, rho_hat, theta, alpha_deg, beta_deg)

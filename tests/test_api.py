@@ -9,6 +9,8 @@ it passes that parameter by keyword or by position.  Arguments unpacked with
 `*` or `**` set nothing here, since the source does not show which they fill.
 Dataclass fields are not parameters here: a result record such as
 `orders.AxiomReport` starts from defaults that the code then assigns.
+The attribute half of the same rule, that every field, attribute and method
+of a library class is read somewhere, is `test_every_class_attribute_is_read_somewhere`.
 """
 import ast
 from pathlib import Path
@@ -116,3 +118,50 @@ def test_only_systems_forms_the_log_top():
             if calls or restates:
                 formers.append(f"{path.name}:{node.lineno}")
     assert not formers, "log tolerance formed outside systems.py: " + ", ".join(formers)
+
+
+def class_attributes(tree: ast.Module, module: str):
+    """(label, name) of each dataclass field, `self.x =` attribute, method and
+    property of the classes in a module, dunders excepted."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        names = set()
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                        if getattr(sub.value, "id", None) == "self":
+                            names.add(sub.attr)
+        found += [(f"{module}.{cls.name}.{n}", n) for n in sorted(names) if not (n.startswith("__") and n.endswith("__"))]
+    return found
+
+
+def read_names():
+    """Every name read as `x.name`, or as getattr(x, "name", ...), in src/, tests/ and bench/."""
+    names = set()
+    for path in (p for d in CALLERS for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif called_name(node) == "getattr" and len(node.args) >= 2:
+                name = node.args[1]
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    names.add(name.value)
+    return names
+
+
+def test_every_class_attribute_is_read_somewhere():
+    """A field, attribute or method that no code reads is state the reader must
+    keep in mind for nothing: it restates an input or a sibling value, or it is
+    an output that no test checks.  The scan matches by name, so a read of any
+    `.x` keeps every attribute called x."""
+    attributes = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        attributes += class_attributes(ast.parse(path.read_text()), path.stem)
+    assert attributes, "the scan found no class attributes"
+    read = read_names()
+    unread = [label for label, name in attributes if name not in read]
+    assert not unread, "attributes that nothing reads: " + ", ".join(unread)

@@ -395,3 +395,37 @@ print(codes, [m for m in heavy if m in sys.modules])
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] []\n"
+
+
+def test_perron_with_x_plus_three_past_the_horizon(capsys):
+    """Perron needs only 2x <= limit: its gap check reads x +- 1, not x +- 3."""
+    code, out, err = run_cli(
+        capsys, *"perron --system list:2,3 --limit 5.2 --x 2.5 --T 10 --json".split()
+    )
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    assert float(row["error"]) <= float(row["budget"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen --bound 10", "error: this command needs --system\n"),
+        ("gen --system builtin:rationals --bound 10", "error: builtin systems need --limit\n"),
+    ],
+)
+def test_system_spec_refusals(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (1, "", message)
+
+
+def test_file_system_takes_the_limit_option(capsys, tmp_path):
+    path = tmp_path / "primes.txt"
+    path.write_text("limit=10\n2\n3\n")
+    argv = ["gen", "--system", f"file:{path}", "--bound", "20"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "horizon 10.0" in err
+    code, out, _ = run_cli(capsys, *argv, "--limit", "20", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert [float(r["value"]) for r in data["rows"]] == pytest.approx([1, 2, 3, 4, 6, 8, 9, 12, 16, 18])

@@ -432,3 +432,12 @@ def test_boundary_hits_match_brute_force(system, grid, expect):
         assert hits == []
     else:
         assert 0 < len(hits) < len(grid)
+
+
+def test_counts_below_one():
+    """No g-prime is <= 1, so pi vanishes there; N and psi start at x = 1."""
+    system = from_list([2.0, 3.0], limit=100)
+    assert count_pi(system, 1.0) == count_pi(system, 0.5) == 0
+    assert psi(system, 1.0) == 0.0
+    with pytest.raises(ParameterError, match="x must be >= 1"):
+        psi(system, 0.5)

@@ -331,7 +331,7 @@ def test_check_fe_mellin_detects_mismatch():
         lambda lo, scale: 1.01 * math.erfc(math.sqrt(math.pi) * lo * scale) / (2 * scale),
     )
     exp_scaled = AsymptoticExpansion(((1.0, (0.505,)), (0.0, (-0.505,))), None)
-    spec2b = PartitionSpec(spec2.system, scaled, exp_scaled, "theta-perturbed")
+    spec2b = PartitionSpec(spec2.system, scaled, exp_scaled)
     report = check_fe_mellin(spec1, spec2b, [2.0, complex(1.5, 1.0)])
     assert report.max_residual > 1e-3
 
@@ -356,3 +356,45 @@ def test_residual_series_json_and_merge():
     H = residual_series_from_json(text)
     assert len(H.terms) == 1
     assert H.terms[0][0] == complex(3.0)
+
+
+def test_partition_reports_its_cutoff(naturals):
+    """The cutoff is doubled from max(2, 2/x) until the tail envelope passes tail_tol,
+    and stops at the horizon; an explicit cutoff is kept."""
+    exp = KERNELS["exp"]
+    assert partition_F(naturals, exp, 1.0).cutoff == 64.0  # e^-32 > 1e-15 >= e^-64
+    assert partition_F(naturals, exp, 1e-6).cutoff == naturals.limit
+    assert partition_F(naturals, exp, 0.01, cutoff=100.0).cutoff == 100.0
+
+
+def test_verify_expansion_reason_and_remainder_slope(naturals):
+    samples = exp_kernel_samples(naturals)
+    rep = verify_expansion(samples, EXPANSIONS["exp"])
+    assert rep.reason == "" and rep.remainder_slope == rep.term_slopes[-1]
+    bad = verify_expansion(samples, AsymptoticExpansion(((1.0, (1.0,)), (0.0, (-1.0 / 3.0,)))))
+    assert bad.remainder_slope == bad.term_slopes[-1] < 0.25
+    assert bad.reason == (
+        f"after 2 terms the remainder falls like x^{bad.remainder_slope:.3g}, "
+        "not faster than the last term x^0"
+    )
+    empty = verify_expansion(samples, AsymptoticExpansion(()))
+    assert empty.reason == "F unbounded at 0+ but expansion empty"
+    assert abs(empty.remainder_slope + 1.0) <= 0.1  # F ~ 1/x
+
+
+def test_custom_kernel_fallbacks_match_the_builtin_exp(naturals):
+    """A kernel without a closed-form tail integrates |g| numerically, and one whose
+    evaluate takes only scalars (math.exp raises on a longer array, and gives a
+    scalar for a one-element one) is applied value by value."""
+    from beurling.mellin import Kernel
+
+    exp = KERNELS["exp"]
+    quad_tail = Kernel("exp-quad", lambda u: np.exp(-u), 0.0, math.inf)
+    for lo, scale in ((2.0, 1.0), (64.0, 0.5), (1000.0, 0.01)):
+        assert quad_tail.tail(lo, scale) == pytest.approx(exp.tail(lo, scale), rel=1e-9)
+    scalar = Kernel("exp-scalar", lambda u: math.exp(-u), 0.0, math.inf, exp.tail_integral)
+    for x, cutoff in ((1.0, None), (0.5, 2.0), (1.0, 1.0)):
+        got = partition_F(naturals, scalar, x, cutoff=cutoff)
+        want = partition_F(naturals, exp, x, cutoff=cutoff)
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert (got.tail_bound, got.cutoff) == (want.tail_bound, want.cutoff)

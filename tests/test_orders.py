@@ -328,3 +328,16 @@ def test_process_oracle_fails_fast(script, tmp_path, monkeypatch):
 def test_process_oracle_empty_command(cmd):
     with pytest.raises(ParameterError):
         ProcessOracle(cmd)
+
+
+def test_induced_beyond_horizon_on_either_side():
+    """An index past the stored primes is known only to exceed the horizon: each side
+    compares when that decides the order, and raises when it does not."""
+    from beurling.errors import IncompleteSystemError
+
+    o = induced_oracle(from_list([2, 3], limit=100))
+    assert o.compare((3, 1), (1, 5)) == GT  # p_3 > 100 > 2^5
+    with pytest.raises(IncompleteSystemError, match=r"\(3, 1\) is beyond the horizon"):
+        o.compare((3, 1), (1, 12))
+    with pytest.raises(IncompleteSystemError, match="both"):
+        o.compare((3, 1), (4, 1))

@@ -7,7 +7,7 @@ import pytest
 
 from beurling import from_list, gap_window, power_system, psi, rational_primes
 from beurling.counting import PIECE, prime_power_table
-from beurling.errors import ParameterError, UnstablePointError
+from beurling.errors import IncompleteSystemError, ParameterError, UnstablePointError
 from beurling.perron import PerronParams, _phi_on_line, perron_convergence_scan, perron_psi
 
 
@@ -183,3 +183,30 @@ def test_overflowing_x_to_the_c_is_refused(x):
 def test_a_grid_past_the_node_cap_is_refused():
     with pytest.raises(ParameterError, match="quadrature nodes"):
         PerronParams(x=100.5, T=1e300)
+
+
+def test_near_range_past_the_horizon_is_refused():
+    with pytest.raises(IncompleteSystemError, match="near range"):
+        perron_psi(from_list([2.0, 3.0], limit=100), PerronParams(x=60.5, T=10))
+
+
+def test_gap_check_reads_x_plus_one_only():
+    """Perron needs 2x <= limit, and its gap check only the g-integers within 1/x^2 < 1/4
+    of x, so a point with x + 3 past the horizon still runs."""
+    system = from_list([2.0, 3.0], limit=5.2)
+    res = perron_psi(system, PerronParams(x=2.5, T=10))
+    assert abs(res.value - psi(system, 2.5)) <= res.budget.total
+    with pytest.raises(UnstablePointError, match=r"of the g-integer 3\.0000000000000004;"):
+        perron_psi(from_list([2.0, 3.0], limit=5.8), PerronParams(x=2.9, T=10))
+
+
+def test_phase_tables_past_the_limit_are_refused_before_they_exist(rp1e4, monkeypatch):
+    import beurling.perron as perron
+
+    def built(*args):
+        raise AssertionError("a phase table was built")
+
+    monkeypatch.setattr(perron, "_phases", built)
+    monkeypatch.setattr(perron, "MAX_TABLE_BYTES", 2**20)
+    with pytest.raises(ParameterError, match=r"^x = 500\.5 and T = 1000\.0 need \d+\.\d\d GiB of phase tables"):
+        perron_psi(rp1e4, PerronParams(x=500.5, T=1e3))

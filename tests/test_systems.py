@@ -247,3 +247,24 @@ def test_a_limit_past_the_sieve_cap_is_refused(make):
     for limit in (systems.SIEVE_CAP * 1.001, 1e12, 1e300):
         with pytest.raises(ParameterError, match="must be at most"):
             make(limit)
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([], EmptySystemError),
+        ([0.5, 2.0], InvalidPrimeError),
+        ([2.0, math.nan], InvalidPrimeError),
+        ([2.0, math.inf], InvalidPrimeError),
+    ],
+)
+def test_from_list_refusals_keep_their_types(values, error):
+    with pytest.raises(error):
+        from_list(values, limit=10)
+
+
+def test_prime_file_default_limit_is_the_largest_prime(tmp_path):
+    p = tmp_path / "primes.txt"
+    p.write_text("5.0\n2.0\n3.0\n")
+    s = from_file(p)
+    assert s.primes == (2.0, 3.0, 5.0) and s.limit == 5.0

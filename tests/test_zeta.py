@@ -277,3 +277,41 @@ def test_power_transform_counting_invariance(rp1e4):
     for x in (2.5, 10.0, 57.3, 99.0):
         assert count_N(scaled, x**1.7) == count_N(base, x)
         assert abs(psi(scaled, x**1.7) - 1.7 * psi(base, x)) <= 1e-9
+
+
+def test_classify_ab_reports_the_psi_exponent(rp1e5):
+    """alpha_hat is the log-slope of |psi(x) - x| and theta_hat the larger of the two
+    exponents that are not degenerate."""
+    est = classify_ab(rp1e5, np.geomspace(100, 10**5, 40))
+    assert not est.alpha_degenerate
+    assert 0.0 < est.alpha_hat < 1.0
+    assert est.theta_hat == max(est.alpha_hat, est.beta_hat)
+    single = classify_ab(from_list([2.0], limit=10**4), np.geomspace(100, 10**4, 30))
+    assert not single.alpha_degenerate
+    assert abs(single.alpha_hat - 1.0) <= 0.05  # psi stays O(log x), so |psi - x| ~ x
+    assert single.theta_hat == single.alpha_hat  # beta is degenerate there
+
+
+def test_estimate_order_fit_parts(rp1e4):
+    t_grid = np.linspace(2, 40, 14)
+    fit = estimate_order(rp1e4, 2.0, t_grid)
+    xs = np.log(t_grid)
+    assert len(fit.residuals) == len(t_grid)
+    for x, y, r in zip(xs, fit.log_abs_zeta, fit.residuals):
+        assert r == pytest.approx(y - (fit.mu_hat * x + fit.intercept), abs=1e-12)
+    assert abs(sum(fit.residuals)) <= 1e-9  # least squares with an intercept
+
+
+def test_estimate_order_left_of_one():
+    """Left of 1, log |zeta(sigma + it)| is log |zeta(2 + it)| plus the integral of
+    Re phi(y + it) over y in [sigma, 2], taken by a 24-point Gauss rule; mpmath's
+    quadrature of the same integrand checks it."""
+    import mpmath as mp
+
+    system = from_list([2.0, 3.0, 5.0], limit=10**3)
+    sigma, t_grid = 0.8, np.linspace(3, 12, 10)
+    fit = estimate_order(system, sigma, t_grid)
+    for t, got in zip(t_grid, fit.log_abs_zeta):
+        base = math.log(abs(zeta_euler(system, complex(2.0, t)).value))
+        integral = mp.quad(lambda y: phi_continued(system, complex(float(y), t)).value.real, [sigma, 2.0])
+        assert got == pytest.approx(base + float(integral), rel=1e-9, abs=1e-9)
