@@ -251,12 +251,12 @@ def cmd_perron(args) -> int:
 
     system = _load_system(args, args.system)
     rows = []
-    header = ["T", "value", "oracle", "error", "budget", "imag_residual"]
+    header = ["T", "value", "oracle", "error", "budget"]
     if args.scan:
         ts = _parse_list(_parse_real)(args.scan)
         scan = perron_convergence_scan(system, args.x, ts, threads=args.threads)
         for (T, value, err, budget) in scan.rows:
-            rows.append([_fmt(T), _fmt(value), _fmt(scan.oracle), _fmt(err), _fmt(budget), ""])
+            rows.append([_fmt(T), _fmt(value), _fmt(scan.oracle), _fmt(err), _fmt(budget)])
         extra = {"monotone_trend": str(scan.monotone_trend).lower()}
     else:
         params = PerronParams(x=args.x, T=args.T, c=args.c)
@@ -269,7 +269,6 @@ def cmd_perron(args) -> int:
                 _fmt(oracle),
                 _fmt(abs(res.value - oracle)),
                 _fmt(res.budget.total),
-                _fmt(res.imag_residual),
             ]
         )
         extra = {

@@ -13,6 +13,10 @@ reported budget bounds |result - psi(x)| by construction:
   quadrature - Richardson estimate from a step-doubled trapezoid, doubled
                for safety.
 
+The Lambda(n) are real, so phi(c - it) x^(c-it)/(c - it) is the conjugate of
+the integrand at c + it: the contour is evaluated on t >= 0 only, and the
+integral is twice the real part of the half line's.
+
 The contour is never pushed left of Re s = 1: the continuation left of 1 is
 fit-dependent and would break the rigorous-by-construction budget.
 """
@@ -29,7 +33,7 @@ from .counting import PIECE, nearest_gintegers, prime_power_table, psi as psi_ex
 from .errors import IncompleteSystemError, ParameterError, UnstablePointError
 from .systems import GPrimeSystem
 
-MAX_NODES = 10**7  # quadrature nodes of one contour, at most
+MAX_NODES = 10**7  # 2T/step, the nodes of the whole line [-T, T], at most; the half line has half
 # bytes of the two phase tables, at most: (K + rows) * terms * 16, with K ~ sqrt(nodes),
 # rows = nodes / K and terms the prime powers up to min(x^2, limit)
 MAX_TABLE_BYTES = 2**31
@@ -82,7 +86,6 @@ class PerronBudget:
 @dataclass(frozen=True)
 class PerronResult:
     value: float
-    imag_residual: float
     budget: PerronBudget
     nodes: int
 
@@ -106,19 +109,29 @@ def _phases(u, L, w=None) -> np.ndarray:
 
 def _blocks(n: int) -> tuple[int, int]:
     """(K, rows) of `_phi_on_line`'s factorisation of an n-node grid: j = a*K + b, a < rows."""
-    K = min(4096, max(64, int(math.sqrt(n)))) if n > 1 else 1
+    K = min(4096, max(64, int(math.sqrt(n))))
     return K, (n + K - 1) // K
 
 
-def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
-    """phi(c + i t_j) for a uniform grid t, via a phase-factorised product.
+def _half_grid(T: float, step: float) -> np.ndarray:
+    """t_j = j T/m for j = 0..m, m = ceil(T/step) rounded up to even.
 
-    With t_j = t_0 + j h and j = a*K + b the phase splits into a coarse and a
-    fine factor, so only O((n/K + K) * terms) exponentials are needed; the
-    rest is one complex matrix product per shard, written into one output.
+    m is even so that every other node, the step-doubled grid of the
+    quadrature estimate, also ends at T; t[1] is linspace's step T/m.
+    """
+    m = math.ceil(T / step)
+    return np.linspace(0.0, T, m + m % 2 + 1)
+
+
+def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
+    """phi(c + i t_j) on the half grid t_j = j h, via a phase-factorised product.
+
+    With j = a*K + b the phase splits into a coarse and a fine factor, so
+    only O((n/K + K) * terms) exponentials are needed; the rest is one
+    complex matrix product per shard, written into one output.
     """
     n = len(t)
-    h = t[1] - t[0] if n > 1 else 0.0
+    h = t[1]
     K, rows = _blocks(n)
     B = _phases(np.arange(K) * h, L)
     out = np.empty((rows, K), complex)
@@ -126,7 +139,7 @@ def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
     # One product per shard, never split further: numpy sends a one-row
     # product through gemv rather than gemm, and gemv rounds differently.
     def shard(r0: int, r1: int) -> None:
-        A = _phases(t[0] + np.arange(r0, r1) * (K * h), L, wc)
+        A = _phases(np.arange(r0, r1) * (K * h), L, wc)
         np.matmul(A, B.T, out=out[r0:r1])
 
     threads = min(threads, os.cpu_count() or 1)
@@ -166,11 +179,8 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
         )
 
     L, W = prime_power_table(system, min(x * x, system.limit))
-    n = int(math.ceil(2 * T / params.step))
-    if n % 2 == 1:
-        n += 1
-    n += 1  # symmetric grid including t = 0
-    K, rows = _blocks(n)
+    t = _half_grid(T, params.step)
+    K, rows = _blocks(len(t))
     size = (K + rows) * len(L) * 16
     if size > MAX_TABLE_BYTES:
         raise ParameterError(
@@ -180,14 +190,14 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
 
     lx = math.log(x)
     wc = W * np.exp(-c * L)
-    t = np.linspace(-T, T, n)
     phi_line = _phi_on_line(L, wc.astype(complex), t, threads=threads)
     s = c + 1j * t
     # formed out of place on purpose: np.multiply(phi_line, e, out=e) changed last bits
     integrand = phi_line * np.exp(s * lx) / s
     del phi_line, s  # the line is not needed past here; free it before the budget's arrays
-    integral_fine = np.trapezoid(integrand, t) / (2 * math.pi)
-    integral_coarse = np.trapezoid(integrand[::2], t[::2]) / (2 * math.pi)
+    # (1/2pi) int_{-T}^{T} = (1/pi) Re int_0^T, term for term: the t = 0 node is real
+    integral_fine = np.trapezoid(integrand, t).real / math.pi
+    integral_coarse = np.trapezoid(integrand[::2], t[::2]).real / math.pi
     quad_est = 2.0 * abs(integral_fine - integral_coarse) / 3.0
 
     # classical per-term truncation error for every included prime power
@@ -200,12 +210,7 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
     far = float(np.sum(term_errors[~near_mask]))
 
     budget = PerronBudget(far, near, float(quad_est))
-    return PerronResult(
-        value=float(integral_fine.real),
-        imag_residual=float(abs(integral_fine.imag)),
-        budget=budget,
-        nodes=n,
-    )
+    return PerronResult(value=float(integral_fine), budget=budget, nodes=len(t))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The hashes were recorded from the commit before the g-integer walk was
 shared between counting and zeta, the seven from --config to --s-grid
 from the commit before the CLI checked option values by argparse type, and
 the last two `gen` runs from the heap stream, before the sorted stream was
-read off the walk, and the `order coincide` witness from the bracket search,
-before orderings_coincide took brackets in closed form (Python 3.11.7, numpy
-2.4.6, mpmath 1.3.0, x86-64).
+read off the walk, the `order coincide` witness from the bracket search,
+before orderings_coincide took brackets in closed form, and the three `perron`
+runs from the contour on t >= 0, without the imag_residual column (Python
+3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -31,9 +32,9 @@ README_EXAMPLES = [
     ("zeta --system builtin:rationals --limit 10000 --s 3 --method mellin",
      "efb69de4a72437765c0c4580400926348bc29ce63bb00ce5fe79ed4ea3cd1325"),
     ("perron --system builtin:rationals --limit 10000 --x 1000.5 --T 10000",
-     "e767b5f24434232bb59bf3e658afe38e8f9c4ee7231678a22c0fd4eac6d1c754"),
+     "f98dc4996dbcffd886aea461e0808761b86e5bb3b1d4cc246e3287bb4930f84f"),
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
-     "5f74ece523e60b82bec0bd845212d8e2fea8a58a26185dc28fc680695868ad59"),
+     "8f08591d0461da446505b39b0c5a66bf1977cd6c4592c02d019586a6f4099c85"),
     ("mellin --kernel exp --s 0.5 --op transform",
      "e818057c8e9d1a361059668f8b75072db4915fc0e68e7f394b87eb5a3aad1ee7"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
@@ -77,7 +78,7 @@ MORE_INVOCATIONS = [
     ("count --system list:2,2,3.5 --limit 500 --grid 1:500:0.5",
      "92d94b667e7e53015159b35e9b5a5a65cdd0b2be9e1d0986af05618d3d1b567c"),
     ("perron --system builtin:gaussian --limit 10000 --x 2000.5 --T 1000",
-     "dbe0a5c919c6484961ccfb4625322f9bd3e9d6e99a4101bb55b2cea244b1144a"),
+     "3080bb1d4e363921e89c5be1ed9493acf21a2b50752e7f21cc96c31da57c64c4"),
     ("gen --system builtin:gaussian --limit 200 --bound 200",
      "7668755329decfb6d90b946098e871491516c4928ba9df3d3635ef2982802d89"),
     ("gen --system list:2,2,3 --limit 100 --bound 10 --power 0.5",

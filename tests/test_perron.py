@@ -2,13 +2,20 @@ import math
 import tracemalloc
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 
-from beurling import from_list, gap_window, power_system, psi, rational_primes
+from beurling import from_list, gap_window, gaussian_system, power_system, psi, rational_primes
 from beurling.counting import PIECE, prime_power_table
 from beurling.errors import IncompleteSystemError, ParameterError, UnstablePointError
-from beurling.perron import PerronParams, _phi_on_line, perron_convergence_scan, perron_psi
+from beurling.perron import (
+    PerronParams,
+    _half_grid,
+    _phi_on_line,
+    perron_convergence_scan,
+    perron_psi,
+)
 
 
 def test_single_prime_recovery():
@@ -17,7 +24,6 @@ def test_single_prime_recovery():
     want = 3 * math.log(2)
     assert abs(res.value - want) <= res.budget.total
     assert abs(res.value - want) <= 1e-2
-    assert res.imag_residual <= 1e-6
 
 
 def test_rationals_recovery_within_budget(rp1e4):
@@ -41,9 +47,6 @@ def test_budget_holds_across_systems():
         res = perron_psi(system, PerronParams(x=w.center, T=2e3))
         oracle = psi(system, w.center)
         assert abs(res.value - oracle) <= res.budget.total, system.label
-        # conjugate symmetry of the integrand keeps the imaginary part at
-        # rounding level
-        assert res.imag_residual <= 1e-6 * (1 + abs(res.value))
 
 
 def test_c_robustness(rp1e4):
@@ -111,21 +114,33 @@ def test_threads_do_not_change_result(rp1e4):
 
 
 def _line_inputs(system, x, T):
-    """perron_psi's L, wc and grid t, and the K of its phase-factorised product."""
+    """perron_psi's L, wc and half grid t, and the K of its phase-factorised product."""
     params = PerronParams(x=x, T=T)
     L, W = prime_power_table(system, min(x * x, system.limit))
     wc = (W * np.exp(-params.c * L)).astype(complex)
-    n = int(math.ceil(2 * T / params.step))
-    n += n % 2 + 1
-    return L, wc, np.linspace(-T, T, n), min(4096, max(64, int(math.sqrt(n))))
+    t = _half_grid(T, params.step)
+    return L, wc, t, min(4096, max(64, int(math.sqrt(len(t)))))
+
+
+@pytest.mark.parametrize("x, T", [(150.5, 1.0), (1000.5, 1e3), (1000.5, 1e4), (2500.5, 1e4)])
+def test_the_half_grid_steps_by_T_over_m_exactly(rp1e4, x, T):
+    """The factorised product steps by t[1]: on the half grid that is linspace's own
+    step T/m, so the product's nodes do not drift from the grid's."""
+    params = PerronParams(x=x, T=T)
+    t = _half_grid(T, params.step)
+    m = len(t) - 1
+    assert m % 2 == 0 and m >= T / params.step
+    assert t[0] == 0.0 and t[-1] == T and t[::2][-1] == T
+    assert t[1] - t[0] == T / m
+    assert perron_psi(rp1e4, params).nodes == m + 1
 
 
 def _whole_table_line(L, wc, t, K):
     """_phi_on_line as whole-table expressions: each phase table at once, one product."""
-    h = t[1] - t[0]
+    h = t[1]
     rows = (len(t) + K - 1) // K
     B = np.exp(-1j * np.outer(np.arange(K) * h, L))
-    A = np.exp(-1j * np.outer(t[0] + np.arange(rows) * (K * h), L)) * wc
+    A = np.exp(-1j * np.outer(np.arange(rows) * (K * h), L)) * wc
     return (A @ B.T).ravel()[: len(t)]
 
 
@@ -210,3 +225,51 @@ def test_phase_tables_past_the_limit_are_refused_before_they_exist(rp1e4, monkey
     monkeypatch.setattr(perron, "MAX_TABLE_BYTES", 2**20)
     with pytest.raises(ParameterError, match=r"^x = 500\.5 and T = 1000\.0 need \d+\.\d\d GiB of phase tables"):
         perron_psi(rp1e4, PerronParams(x=500.5, T=1e3))
+
+
+def _perron_term(u, c, T):
+    """(1/2 pi i) int_{c-iT}^{c+iT} e^{us}/s ds = (Ei(u(c+iT)) - Ei(u(c-iT))) / (2 pi i) + [u < 0]."""
+    return (mpmath.ei(u * mpmath.mpc(c, T)) - mpmath.ei(u * mpmath.mpc(c, -T))) / (2j * mpmath.pi) + (u < 0)
+
+
+def truncated_perron(system, x, T, c):
+    """The exact truncated integral I_T = (1/2 pi i) int_{c-iT}^{c+iT} phi(s) x^s / s ds:
+    the sum of Lambda(n) * _perron_term(log(x/n), c, T) over the prime-power table, in
+    mpmath at 30 digits."""
+    L, W = prime_power_table(system, min(x * x, system.limit))
+    with mpmath.workdps(30):
+        lx = mpmath.log(x)
+        return float(sum(w * _perron_term(lx - logn, c, T).real for logn, w in zip(L.tolist(), W.tolist())))
+
+
+def test_the_closed_form_term_is_the_integral():
+    """_perron_term against quadrature, both at 30 digits; u < 0 crosses Ei's cut."""
+    with mpmath.workdps(30):
+        c, T = mpmath.mpf(1.2), mpmath.mpf(20)
+        for u in (0.7, -0.4, 2.0, -1.3):
+            quad = mpmath.quad(
+                lambda t: mpmath.exp(u * (c + 1j * t)) / (c + 1j * t), mpmath.linspace(-T, T, 8)
+            ) / (2 * mpmath.pi)
+            closed = _perron_term(u, c, T)
+            assert abs(quad - closed) <= 1e-25 * abs(closed), u
+
+
+@pytest.mark.parametrize(
+    "system, x, T",
+    [
+        ("rationals", 1000.5, 1e4),
+        ("rationals", 500.5, 1e4),
+        ("rationals", 2500.5, 1e4),
+        ("rationals", 1000.5, 1e3),
+        ("gaussian", 2000.5, 1e3),
+    ],
+)
+def test_each_budget_term_bounds_its_own_error(rp1e4, system, x, T):
+    """The trapezoid is within budget.quadrature of the exact truncated integral, and
+    that integral within the lemma's far + near of psi(x)."""
+    system = rp1e4 if system == "rationals" else gaussian_system(10**4)
+    params = PerronParams(x=x, T=T)
+    res = perron_psi(system, params)
+    exact = truncated_perron(system, x, T, params.c)
+    assert abs(res.value - exact) <= res.budget.quadrature
+    assert abs(exact - psi(system, x)) <= res.budget.far_term + res.budget.near_term
