@@ -254,13 +254,13 @@ def cmd_perron(args) -> int:
     header = ["T", "value", "oracle", "error", "budget"]
     if args.scan:
         ts = _parse_list(_parse_real)(args.scan)
-        scan = perron_convergence_scan(system, args.x, ts, threads=args.threads)
+        scan = perron_convergence_scan(system, args.x, ts)
         for (T, value, err, budget) in scan.rows:
             rows.append([_fmt(T), _fmt(value), _fmt(scan.oracle), _fmt(err), _fmt(budget)])
         extra = {"monotone_trend": str(scan.monotone_trend).lower()}
     else:
         params = PerronParams(x=args.x, T=args.T, c=args.c)
-        res = perron_psi(system, params, threads=args.threads)
+        res = perron_psi(system, params)
         oracle = psi_exact(system, args.x)
         rows.append(
             [

@@ -15,7 +15,8 @@ reported budget bounds |result - psi(x)| by construction:
 
 The Lambda(n) are real, so phi(c - it) x^(c-it)/(c - it) is the conjugate of
 the integrand at c + it: the contour is evaluated on t >= 0 only, and the
-integral is twice the real part of the half line's.
+integral is twice the real part of the half line's.  Both trapezoids, fine and
+step-doubled, come from one non-uniform FFT: O(m log m + terms) work, O(m) memory.
 
 The contour is never pushed left of Re s = 1: the continuation left of 1 is
 fit-dependent and would break the rigorous-by-construction budget.
@@ -23,8 +24,6 @@ fit-dependent and would break the rigorous-by-construction budget.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,12 @@ from .counting import PIECE, nearest_gintegers, prime_power_table, psi as psi_ex
 from .errors import IncompleteSystemError, ParameterError, UnstablePointError
 from .systems import GPrimeSystem
 
-MAX_NODES = 10**7  # 2T/step, the nodes of the whole line [-T, T], at most; the half line has half
-# bytes of the two phase tables, at most: (K + rows) * terms * 16, with K ~ sqrt(nodes),
-# rows = nodes / K and terms the prime powers up to min(x^2, limit)
-MAX_TABLE_BYTES = 2**31
+MAX_NODES = 10**7  # 2T/step, the nodes of the whole line [-T, T], at most: so the FFT has about as many points
+KERNEL_WIDTH = 16  # FFT grid points each non-uniform point reads; a power of 2
+OVERSAMPLING = 2  # FFT points per node of the half line, at least; 2 or more, so the line fits in n/2
+# the Kaiser-Bessel kernel's shape for that width and oversampling (Beatty, Nishimura & Pauly 2005)
+_BETA = math.pi * math.sqrt((KERNEL_WIDTH / OVERSAMPLING * (OVERSAMPLING - 0.5)) ** 2 - 0.8)
+_INV_2PI = (0.15915494309189535, -9.839338337591243e-18)  # 1/2pi = hi + lo
 
 
 @dataclass(frozen=True)
@@ -90,29 +91,6 @@ class PerronResult:
     nodes: int
 
 
-def _phases(u, L, w=None) -> np.ndarray:
-    """The table exp(-i u_j L_k) (times w_k when given), PIECE elements at a time.
-
-    Each block is the same elementwise expression as the whole table would
-    be, so the floats do not depend on the block size; only the table itself
-    is table-sized.
-    """
-    table = np.empty((len(u), len(L)), complex)
-    step = max(1, PIECE // max(1, len(L)))
-    for a in range(0, len(u), step):
-        block = table[a : a + step]
-        np.exp(-1j * np.outer(u[a : a + step], L), out=block)
-        if w is not None:
-            block *= w
-    return table
-
-
-def _blocks(n: int) -> tuple[int, int]:
-    """(K, rows) of `_phi_on_line`'s factorisation of an n-node grid: j = a*K + b, a < rows."""
-    K = min(4096, max(64, int(math.sqrt(n))))
-    return K, (n + K - 1) // K
-
-
 def _half_grid(T: float, step: float) -> np.ndarray:
     """t_j = j T/m for j = 0..m, m = ceil(T/step) rounded up to even.
 
@@ -123,43 +101,83 @@ def _half_grid(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, m + m % 2 + 1)
 
 
-def _phi_on_line(L, wc, t, threads: int = 1) -> np.ndarray:
-    """phi(c + i t_j) on the half grid t_j = j h, via a phase-factorised product.
+def _two_product(a, b):
+    """(p, e) with p + e = a * b exactly: Dekker's product of Veltkamp's halves."""
+    ah, bh = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
 
-    With j = a*K + b the phase splits into a coarse and a fine factor, so
-    only O((n/K + K) * terms) exponentials are needed; the rest is one
-    complex matrix product per shard, written into one output.
+
+def _line_sums(L, wc, x: float, c: float, t) -> tuple[float, float]:
+    """The fine and the step-doubled trapezoid of (1/pi) Re int_0^T phi(c + it) x^s/s dt.
+
+    With t_j = j h (j = 0..m, m even), g_j = x^s/s at s = c + i t_j, phi(c + it) = sum_k
+    wc_k e^{-i t L_k}, theta_k = h L_k and S(theta) = sum_j g_j e^{-i j theta}, they are
+    h Re sum_k wc_k [S(theta_k) - (g_0 + g_m e^{-i m theta_k})/2] / pi and
+    h Re sum_k wc_k [S(theta_k) + S(theta_k + pi) - g_0 - g_m e^{-i m theta_k}] / pi.
+    S at those 2 x terms points is one type-2 non-uniform FFT (Dutt & Rokhlin 1993) with a
+    Kaiser-Bessel kernel.  Phases are taken in turns from h L_k / 2pi in double-double: e^{-i j theta}
+    is coherent over j, so a float theta's last bit would move S by up to m ulps of theta.
     """
-    n = len(t)
-    h = t[1]
-    K, rows = _blocks(n)
-    B = _phases(np.arange(K) * h, L)
-    out = np.empty((rows, K), complex)
+    m = len(t) - 1
+    half, h = m // 2, float(t[1])
+    size = OVERSAMPLING * (m + 1)  # at least 6, as m >= 2
+    n = min(1 << (size - 1).bit_length(), 3 << max(2, (-(-size // 3) - 1).bit_length()))  # 2^a or 3 2^a, 4 | n
+    cols = n // 2
+    # row 0: g centred on j = m/2, over the kernel's transform, wrapped into n/2 points; its FFT
+    # is the even grid points.  Row 1: the same times e^{-2 pi i k/n}; its FFT, the odd ones.
+    rows = np.zeros((2, cols), complex)
+    pos, neg = rows[0, : half + 1], rows[0, cols - half :]
+    s = c + 1j * t
+    g = np.exp(s * math.log(x)) / s
+    edge = 0.5 * g[0], 0.5 * g[m]
+    # 1 over the kernel's Fourier transform W sinh(r)/r, r = sqrt(beta^2 - (pi W k/n)^2)
+    r = np.sqrt(_BETA**2 - (np.arange(half + 1) * (math.pi * KERNEL_WIDTH / n)) ** 2)
+    r /= KERNEL_WIDTH * np.sinh(r)
+    np.multiply(g[half:], r, out=pos)
+    np.multiply(g[:half], r[:0:-1], out=neg)
+    shift = np.exp(np.arange(half + 1) * (-2j * math.pi / n))
+    np.multiply(pos, shift, out=rows[1, : half + 1])
+    np.multiply(neg, shift[:0:-1].conj(), out=rows[1, cols - half :])
+    del s, g, r, shift
+    for row in rows:  # two FFTs of n/2 points need half the scratch of one of n
+        np.fft.fft(row, out=row)
+    q_hi, q_lo = _two_product(h, _INV_2PI[0])
+    q_lo += h * _INV_2PI[1]
 
-    # One product per shard, never split further: numpy sends a one-row
-    # product through gemv rather than gemm, and gemv rounds differently.
-    def shard(r0: int, r1: int) -> None:
-        A = _phases(np.arange(r0, r1) * (K * h), L, wc)
-        np.matmul(A, B.T, out=out[r0:r1])
+    offsets = np.arange(KERNEL_WIDTH) - (KERNEL_WIDTH // 2 - 1)  # the grid points a point reads
+    sums = np.empty((2, len(L)))
+    step = PIECE // (4 * KERNEL_WIDTH)  # np.i0's temporaries are about ten kernels' size
+    for start in range(0, len(L), step):
+        Lp = L[start : start + step]
+        u, e = _two_product(q_hi, Lp)  # h L / 2pi = u + e + q_lo L
+        top = np.floor(u * 2.0**26) / 2.0**26  # u's bits down to 2^-26: n top is exact
+        rest = (u - top) + (e + q_lo * Lp)
+        whole = np.floor(n * top)  # n u = n top + n rest, the grid position; n top is exact
+        frac = n * top - whole + n * rest  # within n 2^-26 of [0, 1)
+        carry = np.floor(frac)
+        whole, frac = whole + carry, frac - carry
+        z = (frac[:, None] - offsets) * (2.0 / KERNEL_WIDTH)  # in [-1, 1]: W is a power of 2
+        kernel = np.i0(_BETA * np.sqrt(1.0 - z * z))
+        at = (whole.astype(np.int64)[:, None] + offsets) % n
+        parity, col = at & 1, at >> 1
+        centre = np.exp(-2j * math.pi * ((half * top) % 1.0 + half * rest))
+        tail = edge[0] + edge[1] * centre * centre
+        fine = centre * np.einsum("ij,ij->i", rows[parity, col], kernel) - tail
+        # theta + pi sits n/2 grid points on, at the same kernel weights; its centring adds (-1)^(m/2)
+        shifted = np.einsum("ij,ij->i", rows[parity, (col + n // 4) % cols], kernel)
+        sums[:, start : start + step] = fine.real, (fine + (-1) ** half * centre * shifted - tail).real
+    fine, coarse = sums @ wc * (h / math.pi)
+    return float(fine), float(coarse)
 
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or rows < 4:
-        shard(0, rows)
-    else:
-        bounds = np.linspace(0, rows, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(shard, bounds[i], bounds[i + 1]) for i in range(threads)]:
-                fut.result()
-    return out.ravel()[:n]
 
-
-def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> PerronResult:
+def perron_psi(system: GPrimeSystem, params: PerronParams) -> PerronResult:
     """Numerical Perron integral for psi(x), with a bounding error budget.
 
     Raises UnstablePointError when x sits within the gap tolerance 1/x^2 of a
-    g-integer (re-site via gap_window), IncompleteSystemError when the near
-    range (x/2, 2x) is not below the system horizon, and ParameterError, before
-    any table is built, when the phase tables would pass MAX_TABLE_BYTES.
+    g-integer (re-site via gap_window), and IncompleteSystemError when the near
+    range (x/2, 2x) is not below the system horizon.
     """
     x, T, c = params.x, params.T, params.c
     if x >= system.limit:
@@ -180,28 +198,12 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
 
     L, W = prime_power_table(system, min(x * x, system.limit))
     t = _half_grid(T, params.step)
-    K, rows = _blocks(len(t))
-    size = (K + rows) * len(L) * 16
-    if size > MAX_TABLE_BYTES:
-        raise ParameterError(
-            f"x = {x} and T = {T} need {size / 2**30:.2f} GiB of phase tables, "
-            f"more than {MAX_TABLE_BYTES / 2**30:g} GiB"
-        )
-
-    lx = math.log(x)
-    wc = W * np.exp(-c * L)
-    phi_line = _phi_on_line(L, wc.astype(complex), t, threads=threads)
-    s = c + 1j * t
-    # formed out of place on purpose: np.multiply(phi_line, e, out=e) changed last bits
-    integrand = phi_line * np.exp(s * lx) / s
-    del phi_line, s  # the line is not needed past here; free it before the budget's arrays
     # (1/2pi) int_{-T}^{T} = (1/pi) Re int_0^T, term for term: the t = 0 node is real
-    integral_fine = np.trapezoid(integrand, t).real / math.pi
-    integral_coarse = np.trapezoid(integrand[::2], t[::2]).real / math.pi
+    integral_fine, integral_coarse = _line_sums(L, W * np.exp(-c * L), x, c, t)
     quad_est = 2.0 * abs(integral_fine - integral_coarse) / 3.0
 
     # classical per-term truncation error for every included prime power
-    dlog = lx - L
+    dlog = math.log(x) - L
     with np.errstate(divide="ignore"):
         lemma = np.minimum(1.0, 1.0 / (T * np.abs(dlog)))
     term_errors = W * np.exp(c * dlog) * lemma
@@ -209,8 +211,8 @@ def perron_psi(system: GPrimeSystem, params: PerronParams, threads: int = 1) -> 
     near = float(np.sum(term_errors[near_mask]))
     far = float(np.sum(term_errors[~near_mask]))
 
-    budget = PerronBudget(far, near, float(quad_est))
-    return PerronResult(value=float(integral_fine), budget=budget, nodes=len(t))
+    budget = PerronBudget(far, near, quad_est)
+    return PerronResult(value=integral_fine, budget=budget, nodes=len(t))
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,7 @@ def _median3(seq: list[float]) -> list[float]:
     return out
 
 
-def perron_convergence_scan(
-    system: GPrimeSystem, x: float, T_list, threads: int = 1
-) -> PerronScan:
+def perron_convergence_scan(system: GPrimeSystem, x: float, T_list) -> PerronScan:
     """Run perron_psi over increasing T and report the error trend.
 
     The monotone flag is judged on a median-of-3 filtered error sequence
@@ -250,7 +250,7 @@ def perron_convergence_scan(
     oracle = psi_exact(system, x)
     rows = []
     for T in Ts:
-        res = perron_psi(system, PerronParams(x=x, T=T), threads=threads)
+        res = perron_psi(system, PerronParams(x=x, T=T))
         rows.append((T, res.value, abs(res.value - oracle), res.budget.total))
     filtered = _median3([r[2] for r in rows])
     monotone = all(b <= a * 1.05 for a, b in zip(filtered, filtered[1:]))

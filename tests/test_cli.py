@@ -152,14 +152,21 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_thread_count_does_not_change_output(capsys):
-    base = (
-        "zeta", "--system", "builtin:rationals", "--limit", "10000",
-        "--s", "2", "--s", "3", "--s", "2+10i", "--method", "dirichlet",
-    )
-    _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *base, "--threads", "4")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "zeta --system builtin:rationals --limit 10000 --s 2 --s 3 --s 2+10i --method dirichlet",
+        # perron accepts and echoes --threads, and has nothing to shard
+        "perron --system builtin:rationals --limit 10000 --x 500.5 --T 2000",
+        "perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,2000",
+    ],
+    ids=["zeta", "perron", "perron-scan"],
+)
+def test_thread_count_does_not_change_output(capsys, argv):
+    _, out1, _ = run_cli(capsys, *argv.split(), "--threads", "1")
+    _, out4, _ = run_cli(capsys, *argv.split(), "--threads", "4")
     # manifests echo the thread count; the data rows must be identical
+    assert "# threads=4" in out4.splitlines()
     rows1 = [l for l in out1.splitlines() if not l.startswith("#")]
     rows4 = [l for l in out4.splitlines() if not l.startswith("#")]
     assert rows1 == rows4

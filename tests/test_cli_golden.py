@@ -6,8 +6,8 @@ from the commit before the CLI checked option values by argparse type, and
 the last two `gen` runs from the heap stream, before the sorted stream was
 read off the walk, the `order coincide` witness from the bracket search,
 before orderings_coincide took brackets in closed form, and the three `perron`
-runs from the contour on t >= 0, without the imag_residual column (Python
-3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
+runs from the line sums by one non-uniform FFT (Python 3.11.7, numpy 2.4.6,
+mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -32,9 +32,9 @@ README_EXAMPLES = [
     ("zeta --system builtin:rationals --limit 10000 --s 3 --method mellin",
      "efb69de4a72437765c0c4580400926348bc29ce63bb00ce5fe79ed4ea3cd1325"),
     ("perron --system builtin:rationals --limit 10000 --x 1000.5 --T 10000",
-     "f98dc4996dbcffd886aea461e0808761b86e5bb3b1d4cc246e3287bb4930f84f"),
+     "e6cbcc9f2932aba92b11e0d5818557efbaf4edf4a1b35c1cc67791258e23c557"),
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
-     "8f08591d0461da446505b39b0c5a66bf1977cd6c4592c02d019586a6f4099c85"),
+     "b61726ce15b331392a2a9656542cbc194bd867fad3b61733c2b14ad3e67cb80f"),
     ("mellin --kernel exp --s 0.5 --op transform",
      "e818057c8e9d1a361059668f8b75072db4915fc0e68e7f394b87eb5a3aad1ee7"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
@@ -78,7 +78,7 @@ MORE_INVOCATIONS = [
     ("count --system list:2,2,3.5 --limit 500 --grid 1:500:0.5",
      "92d94b667e7e53015159b35e9b5a5a65cdd0b2be9e1d0986af05618d3d1b567c"),
     ("perron --system builtin:gaussian --limit 10000 --x 2000.5 --T 1000",
-     "3080bb1d4e363921e89c5be1ed9493acf21a2b50752e7f21cc96c31da57c64c4"),
+     "5a157b8216035fddf4d9d48c4ae0335b5cc0384697e76524090e056c78f6f312"),
     ("gen --system builtin:gaussian --limit 200 --bound 200",
      "7668755329decfb6d90b946098e871491516c4928ba9df3d3635ef2982802d89"),
     ("gen --system list:2,2,3 --limit 100 --bound 10 --power 0.5",

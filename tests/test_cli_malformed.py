@@ -4,6 +4,7 @@ Each case starts from a cheap valid argv and substitutes one value from a
 fixed pool.  `main` must return 0, 1 or 2 without raising; a non-zero exit
 writes exactly one stderr line and nothing to stdout.
 """
+import math
 import shlex
 
 import pytest
@@ -185,6 +186,31 @@ def test_inputs_past_the_machine_are_refused(argv, in_workdir, alarm, capsys):
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
     assert out.err.startswith("error: ")
+
+
+def _past_the_node_cap(x=100.5):
+    from beurling.perron import MAX_NODES, PerronParams
+
+    return math.nextafter(MAX_NODES * PerronParams(x=x, T=1.0).step / 2, math.inf)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("perron --system list:2,3 --limit 100 --x 10.5 --T 1e-300", 0),  # a 3-node line
+        (f"perron --system builtin:rationals --limit 1e4 --x 100.5 --T {_past_the_node_cap()!r}", 1),
+        ("perron --system list:2,3 --limit 5.2 --x 2.5 --T 10", 0),
+        ("perron --system builtin:rationals --limit 1000 --power 1.5 --x 150.5 --T 300", 0),
+        ("perron --system builtin:rationals --limit 1000 --power 1.5 --x 150.5 --scan 10,100,300", 0),
+    ],
+    ids=["3 nodes", "past MAX_NODES", "x + 3 past the horizon", "power system", "power system scan"],
+)
+def test_perron_edges_end_in_an_exit_code(argv, code, in_workdir, alarm, capsys):
+    """The line sums' edges: a run ends with its exit code and at most one stderr line."""
+    assert main(shlex.split(argv)) == code
+    out = capsys.readouterr()
+    assert len(out.err.splitlines()) == (code != 0)
+    assert (out.out == "") == (code != 0)
 
 
 def test_an_overflowing_s_is_refused_before_any_quadrature(in_workdir, alarm, capsys, monkeypatch):

@@ -1,18 +1,22 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beurling import from_list, gap_window, gaussian_system, power_system, psi, rational_primes
 from beurling.counting import PIECE, prime_power_table
 from beurling.errors import IncompleteSystemError, ParameterError, UnstablePointError
 from beurling.perron import (
+    KERNEL_WIDTH,
     PerronParams,
     _half_grid,
-    _phi_on_line,
+    _line_sums,
+    _two_product,
     perron_convergence_scan,
     perron_psi,
 )
@@ -100,32 +104,20 @@ def test_scan_single_prime():
     assert scan.errors()[-1] <= 1e-2
 
 
-def _hex(value):
-    if isinstance(value, tuple):
-        return tuple(_hex(v) for v in value)
-    return value.hex() if isinstance(value, float) else value
-
-
-def test_threads_do_not_change_result(rp1e4):
-    params = PerronParams(x=500.5, T=2e3)
-    one = _hex(astuple(perron_psi(rp1e4, params, threads=1)))
-    for threads in (2, 4):
-        assert _hex(astuple(perron_psi(rp1e4, params, threads=threads))) == one, threads
-
-
 def _line_inputs(system, x, T):
-    """perron_psi's L, wc and half grid t, and the K of its phase-factorised product."""
+    """perron_psi's L, wc and t, the prime powers' logs and weights w e^{-cL} and the
+    half grid t_j = j h, and the x^s/s at s = c + i t that its line sums weigh."""
     params = PerronParams(x=x, T=T)
     L, W = prime_power_table(system, min(x * x, system.limit))
-    wc = (W * np.exp(-params.c * L)).astype(complex)
     t = _half_grid(T, params.step)
-    return L, wc, t, min(4096, max(64, int(math.sqrt(len(t)))))
+    s = params.c + 1j * t
+    return L, W * np.exp(-params.c * L), t, np.exp(s * math.log(x)) / s
 
 
 @pytest.mark.parametrize("x, T", [(150.5, 1.0), (1000.5, 1e3), (1000.5, 1e4), (2500.5, 1e4)])
 def test_the_half_grid_steps_by_T_over_m_exactly(rp1e4, x, T):
-    """The factorised product steps by t[1]: on the half grid that is linspace's own
-    step T/m, so the product's nodes do not drift from the grid's."""
+    """The line sums take node j at j t[1]: on the half grid that is linspace's own
+    step T/m, so their nodes do not drift from the grid's."""
     params = PerronParams(x=x, T=T)
     t = _half_grid(T, params.step)
     m = len(t) - 1
@@ -135,56 +127,124 @@ def test_the_half_grid_steps_by_T_over_m_exactly(rp1e4, x, T):
     assert perron_psi(rp1e4, params).nodes == m + 1
 
 
-def _whole_table_line(L, wc, t, K):
-    """_phi_on_line as whole-table expressions: each phase table at once, one product."""
-    h = t[1]
-    rows = (len(t) + K - 1) // K
-    B = np.exp(-1j * np.outer(np.arange(K) * h, L))
-    A = np.exp(-1j * np.outer(np.arange(rows) * (K * h), L)) * wc
-    return (A @ B.T).ravel()[: len(t)]
+def _direct_line_sums(L, wc, g, h):
+    """_line_sums term by term: sum_k wc_k sum_j w_j Re(g_j e^{-i j h L_k}) / pi, w the fine
+    and the step-doubled trapezoid weights.  Each h L_k / 2pi is taken from mpmath at 40
+    digits as hi + lo, and hi split at 2^-26, so j times its top part is exact and the
+    phase j h L_k / 2pi reaches its fraction of a turn good to about 2^-53."""
+    with mpmath.workdps(40):
+        u = [mpmath.mpf(h) * mpmath.mpf(v) / (2 * mpmath.pi) for v in L.tolist()]
+        hi = np.array([float(v) for v in u])
+        lo = np.array([float(v - mpmath.mpf(float(v))) for v in u])
+    top = np.floor(hi * 2.0**26) / 2.0**26
+    m = len(g) - 1
+    j = np.arange(m + 1, dtype=float)[:, None]
+    fine = np.full(m + 1, h)
+    fine[[0, m]] = h / 2
+    coarse = np.where(np.arange(m + 1) % 2 == 0, 2 * h, 0.0)
+    coarse[[0, m]] = h
+    weights = np.array([fine, coarse])
+    sums = np.zeros(2)
+    step = max(1, 2**20 // (m + 1))  # terms a block of phases holds
+    for a in range(0, len(L), step):
+        turns = j * top[a : a + step]
+        turns -= np.floor(turns)
+        turns += j * (hi[a : a + step] - top[a : a + step]) + j * lo[a : a + step]
+        line = weights * g.real @ np.cos(2 * math.pi * turns) + weights * g.imag @ np.sin(2 * math.pi * turns)
+        sums += line @ wc[a : a + step]
+    return tuple(sums / math.pi)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-@pytest.mark.parametrize(
-    "case, x, T",
-    [
-        ("one row", 150.5, 1.0),  # a one-row product, which numpy sends through gemv
-        ("K = 64", 150.5, 100.0),
-        ("6 rows per block", 400.5, 100.0),  # 9,700 terms: PIECE // 9700 = 6
-        ("repeated primes", 150.5, 300.0),
-        ("power system", 150.5, 300.0),
-    ],
-)
-def test_phase_tables_built_in_place_are_the_whole_tables(rp1e4, rp1e5, case, x, T, threads):
+LINE_CASES = {  # x, T, and perron_psi's value and budget.quadrature, bit for bit
+    "3 nodes": (150.5, 1e-300, "0x1.0b1ab4de865b7p-988", "0x0.00032aaaaaaabp-1022"),
+    "1279 nodes": (150.5, 100.0, "0x1.270e795777b7bp+7", "0x1.5e7f913880000p-11"),
+    "17593 nodes": (1000.5, 1e3, "0x1.f2d6ab789201fp+9", "0x1.2ce5ee6000000p-14"),
+    "ten pieces of terms": (400.5, 100.0, "0x1.8effa5e060014p+8", "0x1.f74fd8e22aaabp-9"),
+    "repeated primes": (150.5, 300.0, "0x1.b4d57b071267dp+4", "0x1.ce0e86a7d5555p-12"),
+    "power system": (150.5, 300.0, "0x1.2d0b827aaf48cp+5", "0x1.7c544885d5555p-13"),
+}
+
+
+@pytest.mark.parametrize("case", LINE_CASES)
+def test_line_sums_are_the_direct_trapezoid(rp1e4, rp1e5, case):
     system = {
-        "one row": rp1e4,
-        "K = 64": rp1e4,
-        "6 rows per block": rp1e5,
+        "3 nodes": rp1e4,
+        "1279 nodes": rp1e4,
+        "17593 nodes": rp1e4,
+        "ten pieces of terms": rp1e5,  # 9,700 terms, 1,024 to a piece
         "repeated primes": from_list([2.0, 2.0, 3.0, 3.0, 5.0, 7.5], limit=2000),
         "power system": power_system(rp1e4, 1.5),
     }[case]
-    L, wc, t, K = _line_inputs(system, x, T)
-    if case == "one row":
-        assert len(t) <= K
-    if case == "6 rows per block":
-        assert PIECE // len(L) == 6
-    want = _whole_table_line(L, wc, t, K)
-    got = _phi_on_line(L, wc, t, threads=threads)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    x, T, value, quadrature = LINE_CASES[case]
+    L, wc, t, g = _line_inputs(system, x, T)
+    if case == "3 nodes":
+        assert len(t) == 3
+    if case == "ten pieces of terms":
+        assert 9 * PIECE // (4 * KERNEL_WIDTH) < len(L) <= 10 * PIECE // (4 * KERNEL_WIDTH)
+    got = _line_sums(L, wc, x, PerronParams(x=x, T=T).c, t)
+    want = _direct_line_sums(L, wc, g, t[1])
+    assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(got, want)), (got, want)
+    res = perron_psi(system, PerronParams(x=x, T=T))
+    assert (res.value.hex(), res.budget.quadrature.hex()) == (value, quadrature)
 
 
-def test_the_phase_tables_are_the_peak(rp1e5):
-    """Two K x terms phase tables, the output and one block: no table-sized temporaries."""
-    params = PerronParams(x=1000.5, T=1e3)
-    L, _, _, K = _line_inputs(rp1e5, params.x, params.T)
-    perron_psi(rp1e5, params)  # the prime-power table and the gap scan's nodes are kept
+@pytest.mark.parametrize(
+    "x, T, power", [(1000.5, 1e3, None), (150.5, 300.0, 1.5)], ids=["17593 nodes", "power system"]
+)
+def test_the_step_doubled_sum_is_the_fine_sum_of_every_other_node(rp1e4, x, T, power):
+    """The coarse sum, read at theta and theta + pi off the fine grid's FFT, is the fine sum
+    of the grid t[::2] (m divisible by 4, so that grid's own m is even)."""
+    system = rp1e4 if power is None else power_system(rp1e4, power)
+    L, wc, t, _ = _line_inputs(system, x, T)
+    assert (len(t) - 1) % 4 == 0
+    c = PerronParams(x=x, T=T).c
+    _, coarse = _line_sums(L, wc, x, c, t)
+    fine_of_every_other, _ = _line_sums(L, wc, x, c, t[::2])
+    assert abs(coarse - fine_of_every_other) <= 1e-13 * abs(coarse), (coarse, fine_of_every_other)
+
+
+def test_two_product_is_exact():
+    """p + e is a * b exactly, at the phase's own h / 2pi and at random pairs over many binades."""
+    rng = np.random.default_rng(22)
+    a, b = rng.uniform(-1, 1, (2, 200)) * 2.0 ** rng.integers(-30, 30, (2, 200))
+    a = np.concatenate([[0.1 / (2 * math.pi), 2 * math.pi], a])
+    b = np.concatenate([[math.log(9973.0), 1.0], b])
+    p, e = _two_product(a, b)
+    for ai, bi, pi, ei in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()):
+        assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi), (ai, bi)
+        assert pi == ai * bi
+
+
+def _traced_peak(system, params):
+    perron_psi(system, params)  # the prime-power table and the gap scan's nodes are kept
     tracemalloc.start()
     try:
-        perron_psi(rp1e5, params)
-        peak = tracemalloc.get_traced_memory()[1]
+        perron_psi(system, params)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * K * len(L) * 16
+
+
+def test_the_peak_follows_the_nodes_not_the_terms(rp1e4, rp1e5):
+    """At the same x and T (so the same nodes), 1,280 terms and 9,700 terms peak alike:
+    the FFT's grid and the line's arrays, under eight complex numbers a node, are the
+    peak, not a nodes x terms table."""
+    params = PerronParams(x=1000.5, T=1e4)
+    nodes = len(_half_grid(params.T, params.step))
+    small, large = _traced_peak(rp1e4, params), _traced_peak(rp1e5, params)
+    assert large < 1.1 * small
+    assert large < 8 * nodes * 16
+
+
+def test_a_run_the_table_guard_refused_completes(rp1e6):
+    """The phase tables' 2 GiB guard refused x = 1000.5, T = 5e4 on the 1e6 rationals
+    (2.2 GiB of tables for 78,734 terms); the line sums need O(nodes) and run it."""
+    params = PerronParams(x=1000.5, T=5e4)
+    nodes = len(_half_grid(params.T, params.step))
+    peak = _traced_peak(rp1e6, params)
+    res = perron_psi(rp1e6, params)
+    assert abs(res.value - psi(rp1e6, 1000.5)) <= res.budget.total
+    assert peak < 8 * nodes * 16
 
 
 @pytest.mark.parametrize("x", [100.5, np.float64(100.5)], ids=["float", "numpy-float"])
@@ -213,18 +273,6 @@ def test_gap_check_reads_x_plus_one_only():
     assert abs(res.value - psi(system, 2.5)) <= res.budget.total
     with pytest.raises(UnstablePointError, match=r"of the g-integer 3\.0000000000000004;"):
         perron_psi(from_list([2.0, 3.0], limit=5.8), PerronParams(x=2.9, T=10))
-
-
-def test_phase_tables_past_the_limit_are_refused_before_they_exist(rp1e4, monkeypatch):
-    import beurling.perron as perron
-
-    def built(*args):
-        raise AssertionError("a phase table was built")
-
-    monkeypatch.setattr(perron, "_phases", built)
-    monkeypatch.setattr(perron, "MAX_TABLE_BYTES", 2**20)
-    with pytest.raises(ParameterError, match=r"^x = 500\.5 and T = 1000\.0 need \d+\.\d\d GiB of phase tables"):
-        perron_psi(rp1e4, PerronParams(x=500.5, T=1e3))
 
 
 def _perron_term(u, c, T):
@@ -273,3 +321,17 @@ def test_each_budget_term_bounds_its_own_error(rp1e4, system, x, T):
     exact = truncated_perron(system, x, T, params.c)
     assert abs(res.value - exact) <= res.budget.quadrature
     assert abs(exact - psi(system, x)) <= res.budget.far_term + res.budget.near_term
+
+
+@settings(max_examples=6)
+@given(n=st.integers(150, 3999), log_T=st.floats(2.0, 4.0))
+def test_each_budget_term_bounds_its_own_error_at_random_points(rp1e4, n, log_T):
+    """The two inequalities above at gap-sited half-integers x in [150, 4000] and
+    T = 10^log_T in [1e2, 1e4]."""
+    w = gap_window(rp1e4, n + 0.5)
+    assert w.found
+    params = PerronParams(x=w.center, T=10.0**log_T)
+    res = perron_psi(rp1e4, params)
+    exact = truncated_perron(rp1e4, params.x, params.T, params.c)
+    assert abs(res.value - exact) <= res.budget.quadrature
+    assert abs(exact - psi(rp1e4, params.x)) <= res.budget.far_term + res.budget.near_term
