@@ -10,8 +10,9 @@ value arrays and the sorted stream read the nodes of any lower bound from them
 with a few `searchsorted` passes; above NODE_CAP nodes they walk per call.  The
 value arrays and the stream are counted under one pair of caps first; the
 stream then builds its items from the nodes' leaves one log segment at a time,
-as it is read.  The Dirichlet sum adds its terms in the depth-first walk's
-pre-order, which sets its last bits.
+as it is read.  The Dirichlet sum adds one term per node in the nodes' (v, i)
+order: a term depends only on v, i and the top, so the summed sequence, and
+its bits, are the same however the nodes were walked.
 
 All comparisons against a query x happen in the log domain with tolerance
 LOG_TIE_TOL * max(1, log x): the kernel takes one log top, `log_top(x)`, and
@@ -85,12 +86,13 @@ def _segments(top: float, nodes: _Nodes):
     and those after it wait for the next segment, whose edge closes them.  Each
     edge is set from how N grew over the segment before; a segment past
     4 * STREAM_PIECE items shrinks by its own density, at most twice, and never
-    below the least item left, so a large tie cluster is one segment.  This holds
-    no reference to the stream, so a dropped stream is freed at once, not by the
-    cycle collector.
+    below the least item left, so a large tie cluster is one segment.  The nodes
+    are read in the kept (v, i) order, `_Nodes.order`, so each comes after its
+    parent and no read sorts them again.  This holds no reference to the stream,
+    so a dropped stream is freed at once, not by the cycle collector.
     """
-    logs, rows = nodes.logs, np.flatnonzero(nodes.keep(top))
-    rows = rows[np.argsort(nodes.v[rows], kind="stable")]  # a parent sorts before its children
+    logs, keep = nodes.logs, nodes.keep(top)
+    rows = nodes.order[keep[nodes.order]]
     v, i = nodes.v[rows], nodes.i[rows]
     mid, hi = _leaf_range(logs, top, v, i)
     where = np.empty(len(nodes.v), np.intp)
@@ -263,13 +265,16 @@ class _Nodes:
     exact, so logs[i_p] <= logs[i] <= (t - v_p) / 2 <= (t - v_pp) / 2.  Every node
     at t has the same v as in the walk to t, and its children there are a prefix,
     by index, of its children here.
+
+    Sorted by (v, i), `order`, the nodes at t read the same whatever walk built
+    them: a node's mid, hi and Dirichlet term depend only on v, i and t, so nodes
+    tied in (v, i) give the same values in either order.
     """
 
     def __init__(self, top: float, batches: list, logs: np.ndarray):
         self.top, self.logs = top, logs
         cols = list(zip(*batches))  # v, i, mid, hi, length, src per batch
         self.v, self.i, length, src = (np.concatenate(cols[k]) for k in (0, 1, 4, 5))
-        self._links = (length, src, *(np.cumsum([0, *map(len, cols[k])]) for k in (0, 4)))
         self.parent = np.arange(len(self.v)) - 1
         self.parent[np.cumsum(length) - length] = src
         self.vpar = self.v[self.parent]
@@ -277,19 +282,16 @@ class _Nodes:
         self.step = logs[self.i]
 
     @functools.cached_property
-    def preorder(self) -> np.ndarray:
-        """The rows in the depth-first walk's pre-order.  Restricted to the nodes at a
-        lower top, it is that walk's pre-order: a node's children there are a prefix
-        of its children here, visited in the same order."""
-        rows = np.empty_like(self.i)
-        rows[_preorder(self.i, *self._links)] = np.arange(len(rows))
-        return rows
+    def order(self) -> np.ndarray:
+        """The rows by (v, i).  The sort is stable, so a parent, walked before its
+        children, sorts before a child tied with it."""
+        return np.lexsort((self.i, self.v))
 
     @functools.cached_property
-    def preorder_at_top(self) -> tuple:
-        """`at(self.top, preorder=True)`, read-only: the Dirichlet sum to the
+    def ordered_at_top(self) -> tuple:
+        """`at(self.top, ordered=True)`, read-only: the Dirichlet sum to the
         horizon reads it at every s."""
-        out = self.at(self.top, preorder=True)
+        out = self.at(self.top, ordered=True)
         for a in out:
             a.flags.writeable = False
         return out
@@ -298,11 +300,11 @@ class _Nodes:
         """Which nodes are in the walk to top <= self.top."""
         return self.step <= (top - self.vpar) / 2
 
-    def at(self, top: float, preorder: bool = False):
+    def at(self, top: float, ordered: bool = False):
         """(v, i, mid, hi) of the nodes in the walk to top <= self.top, in walk order
-        or in the depth-first pre-order."""
+        or by (v, i)."""
         keep = self.keep(top)
-        rows = self.preorder[keep[self.preorder]] if preorder else keep
+        rows = self.order[keep[self.order]] if ordered else keep
         v, i = self.v[rows], self.i[rows]
         return v, i, *_leaf_range(self.logs, top, v, i)
 
@@ -382,63 +384,25 @@ def _collect_logs_leq(system: GPrimeSystem, top: float) -> np.ndarray:
     return out
 
 
-def _preorder(i, length, src, rows, chains) -> np.ndarray:
-    """Each node's position, in walk order, in the depth-first walk's pre-order.
-
-    That walk visits a node, then its children by descending prime index: the
-    heads it adds to later batches, then its chain's next node.  So the nodes of
-    a chain share the end of their subtrees, and a node's heads, by ascending
-    prime, each end where the one before starts, the first where its chain's
-    next node starts.  Subtree sizes are summed from the last batch back, the
-    ends set from the first batch on.  `rows` and `chains` are where each batch's
-    nodes and chains start, and end.
-    """
-    bounds = list(zip(rows, rows[1:], chains, chains[1:]))
-    stop = np.cumsum(length)
-    head = stop - length
-    size = np.ones(rows[-1], dtype=np.intp)
-    for r0, r1, c0, c1 in reversed(bounds):  # the node, its heads' subtrees, the rest of its chain
-        suffix = np.append(np.cumsum(size[r0:r1][::-1])[::-1], 0)
-        size[r0:r1] = suffix[:-1] - suffix[np.repeat(stop[c0:c1] - r0, length[c0:c1])]
-        c = np.arange(max(c0, 1), c1)  # chain 0 heads at the root, which has no parent
-        np.add.at(size, src[c], size[head[c]])
-    after = np.append(size[1:], 0)  # the size of the chain's next node, if any
-    after[stop - 1] = 0
-    order = np.lexsort((i[head[1:]], src[1:]))  # chains 1.. by parent, then prime
-    parent, sizes = src[1:][order], size[head[1:]][order]
-    before = np.cumsum(sizes) - sizes  # less, below, the sizes of earlier parents' heads
-    first = np.flatnonzero(np.diff(parent, prepend=-1))
-    before -= np.repeat(before[first], np.diff(first, append=len(order)))
-    shift = np.empty_like(before)  # how far before its parent's end a head's subtree ends
-    shift[order] = before + after[parent]
-    end = np.empty(rows[-1], dtype=np.intp)
-    end[: length[0]] = size[0]  # batch 0 is the root's chain
-    for r0, r1, c0, c1 in bounds[1:]:
-        c = np.arange(c0, c1)
-        end[r0:r1] = np.repeat(end[src[c]] - shift[c - 1], length[c0:c1])
-    return end - size
-
-
 def _power_sum_leq(system: GPrimeSystem, top: float, s: complex):
     """(sum of n^{-s}, count) over all g-integers with log n <= top.
 
-    The terms are added one by one in the depth-first walk's pre-order: at each
-    node n^{-s}, then n^{-s} times the sum of p^{-s} over the primes of its
-    leaves.  The products take the real formula of Python's complex product
-    (numpy's complex multiply may fuse and round differently), so the sum is
-    the depth-first walk's, bit for bit.
+    Each node n adds one term, n^{-s} (1 + the sum of p^{-s} over the primes of its
+    leaves), and the terms are summed by numpy from +0.0 in the nodes' (v, i)
+    order, so the bits do not depend on the piece size, the node cap or how the
+    kept nodes grew.  The products take the real formula of Python's complex
+    product: numpy's complex multiply fuses on FMA hosts, which would make the
+    bits depend on the CPU.
     """
     nodes = _nodes_or_walk(system, top)
-    v, _, mid, hi = nodes.preorder_at_top if top == nodes.top else nodes.at(top, preorder=True)
+    v, _, mid, hi = nodes.ordered_at_top if top == nodes.top else nodes.at(top, ordered=True)
     logs = system._logs[: np.searchsorted(system._logs, top, "right")]
     prefix = np.concatenate([[0j], np.cumsum(np.exp(-s * logs))])
-    nv, leaves = np.exp(-s * v), prefix[hi] - prefix[mid]
-    product = np.empty_like(nv)
-    product.real = nv.real * leaves.real - nv.imag * leaves.imag
-    product.imag = nv.real * leaves.imag + nv.imag * leaves.real
-    terms = np.zeros(2 * len(v) + 1, dtype=complex)  # from +0.0, as a Python sum starts
-    terms[1::2], terms[2::2] = nv, product
-    return complex(np.cumsum(terms)[-1]), len(v) + int((hi - mid).sum())
+    nv, leaves = np.exp(-s * v), 1 + (prefix[hi] - prefix[mid])
+    terms = np.empty_like(nv)
+    terms.real = nv.real * leaves.real - nv.imag * leaves.imag
+    terms.imag = nv.real * leaves.imag + nv.imag * leaves.real
+    return complex(np.sum(terms, initial=0j)), len(v) + int((hi - mid).sum())
 
 
 def _capped_bound(system: GPrimeSystem, bound: float) -> float:

@@ -130,7 +130,10 @@ def _line_sums(L, wc, x: float, c: float, t) -> tuple[float, float]:
     rows = np.zeros((2, cols), complex)
     pos, neg = rows[0, : half + 1], rows[0, cols - half :]
     s = c + 1j * t
-    g = np.exp(s * math.log(x)) / s
+    g = s * math.log(x)  # x^s / s in place, the ufuncs of np.exp(s * log x) / s
+    np.exp(g, out=g)
+    g /= s
+    del s  # before `shift` below, where the traced peak falls
     edge = 0.5 * g[0], 0.5 * g[m]
     # 1 over the kernel's Fourier transform W sinh(r)/r, r = sqrt(beta^2 - (pi W k/n)^2)
     r = np.sqrt(_BETA**2 - (np.arange(half + 1) * (math.pi * KERNEL_WIDTH / n)) ** 2)
@@ -140,7 +143,7 @@ def _line_sums(L, wc, x: float, c: float, t) -> tuple[float, float]:
     shift = np.exp(np.arange(half + 1) * (-2j * math.pi / n))
     np.multiply(pos, shift, out=rows[1, : half + 1])
     np.multiply(neg, shift[:0:-1].conj(), out=rows[1, cols - half :])
-    del s, g, r, shift
+    del g, r, shift
     for row in rows:  # two FFTs of n/2 points need half the scratch of one of n
         np.fft.fft(row, out=row)
     q_hi, q_lo = _two_product(h, _INV_2PI[0])

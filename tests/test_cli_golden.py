@@ -5,9 +5,10 @@ shared between counting and zeta, the seven from --config to --s-grid
 from the commit before the CLI checked option values by argparse type, and
 the last two `gen` runs from the heap stream, before the sorted stream was
 read off the walk, the `order coincide` witness from the bracket search,
-before orderings_coincide took brackets in closed form, and the three `perron`
-runs from the line sums by one non-uniform FFT (Python 3.11.7, numpy 2.4.6,
-mpmath 1.3.0, x86-64).
+before orderings_coincide took brackets in closed form, the three `perron`
+runs from the line sums by one non-uniform FFT, and the two `--method
+dirichlet` and two `--method mellin` zeta runs from the Dirichlet sum over the
+nodes sorted by (v, i) (Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -30,7 +31,7 @@ README_EXAMPLES = [
     ("zeta --system builtin:rationals --limit 100000 --s 2 --s 2+10i --method euler --json",
      "696bad9d670df32bccfaaaf6f614138a9d427a39f0990bba73608232003ad480"),
     ("zeta --system builtin:rationals --limit 10000 --s 3 --method mellin",
-     "efb69de4a72437765c0c4580400926348bc29ce63bb00ce5fe79ed4ea3cd1325"),
+     "2c14dfb82e92950663fd5a9fb1b862c747f3a58ec9808f60284ce4d8d36884c1"),
     ("perron --system builtin:rationals --limit 10000 --x 1000.5 --T 10000",
      "e6cbcc9f2932aba92b11e0d5818557efbaf4edf4a1b35c1cc67791258e23c557"),
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
@@ -54,13 +55,13 @@ README_EXAMPLES = [
 # and --threads paths
 MORE_INVOCATIONS = [
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+4i --method dirichlet",
-     "2ef840688c17144a4b2e1107ba2318d3c59cc39ecc205bfd5bfd6eb45d396960"),
+     "1595a9768cfb26bef59f982f83c8af4d410ad5618f2d8c658b2c00c6e6604dc0"),
     ("zeta --system builtin:rationals --limit 10000 --s 0.9 --s 2+10i --method continued",
      "14b5843936279b0105ca4693a755bb9cf845fe6b6d3215b5d9c6df1586163d69"),
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 1.5+3i --method phi",
      "c66b1dd552d2b4e570ec3e65df4dc9eb45f4cf76622081bbe6e60fc82541c227"),
     ("zeta --system builtin:gaussian --limit 10000 --s 2 --s 1.5+3i --method mellin --cutoff 5000",
-     "3217194c44650bd7974f24c3bc7dbd107c3864a0f50cdc26a88fdecaee1842ba"),
+     "353c4ce7a241e9fcc09c87a6ea2ee96480c8d9ef18c2cb3937799476aab086d5"),
     ("zeta --system builtin:rationals --limit 10000 --s 2 --method euler --cutoff 500",
      "171dfbd5e83886c5cf7a28f5376f31350647e3d2ae2b9d383e68dff20f909b42"),
     ("mellin --kernel exp --op partition --system builtin:rationals --limit 10000 --x 0.5 --x 1 --x 2",
@@ -94,7 +95,7 @@ MORE_INVOCATIONS = [
     ("axioms --oracle builtin:gaussian --limit 1000 --window 3,4",
      "02d085093688f4d15a6b7bb78311782e20e9de026172939804c54db68b7757c2"),
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+1i --s 1.5-2i --method dirichlet --threads 2",
-     "aaab42f37f077f2b1c1e6f137e3bc7fd8b750e986c23a7a26e3529e760cb3d55"),
+     "ce6b6471f8f8f41727595dec741f31aff03ed056b8f96a39f2d27c30a95d86d4"),
     ("fe-check --pair theta --x-min 0.7 --x-max 1.4 --x-points 5 --s-grid 0.3+1i",
      "cb58663eb85f804fb3f8725d65198ace6e44eda7fad4b049632b0290f4dfcd94"),
     ("gen --system list:2,4,8 --limit 1000 --bound 1000",

@@ -5,7 +5,7 @@ The g-integer walk was depth-first; it is now batched over whole same-prime
 chains.  N(x), the Dirichlet sum and the gap scan walked per call; they now
 read the nodes a system keeps from one walk, and walk per call only above a
 node cap.  The Dirichlet sum had a depth-first walk of its own; it now adds
-its terms in the depth-first walk's order.  The stream was a min-heap over
+one term per node in the nodes' (v, i) order.  The stream was a min-heap over
 (log value, exponent vector); it is now built from the kept nodes' leaves,
 one sorted log segment at a time, and holds the walk's table: near its top
 the walk and the heap can differ by a rounding, so there the reference is a
@@ -82,28 +82,27 @@ def dfs_collect(system, log_bound, tol):
 
 
 def dfs_power_sum(system, log_bound, tol, s):
-    """The depth-first Dirichlet sum: (sum of n^{-s}, count), adding at each node
-    n^{-s}, then n^{-s} times the sum of p^{-s} over its leaves' primes."""
+    """The Dirichlet sum over the depth-first walk's nodes: (sum of n^{-s}, count).
+    Each node gives n^{-s} (1 + the sum of p^{-s} over its leaves' primes), by
+    Python's complex product, and the terms are summed by numpy from +0j in the
+    nodes' (log value, i) order."""
     if not math.isfinite(log_bound):  # NaN passes every bisect; inf never ends
         raise ParameterError(f"cannot walk to the log bound {log_bound}")
     logs = system.log_primes.tolist()
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system.log_primes))])
-    total = 0.0 + 0.0j
-    count = 0
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-s * system.log_primes))]).tolist()
+    nodes = []
     stack = [(0, 0.0)]
     while stack:
         i, lv = stack.pop()
         bt = log_bound + tol - lv
         hi = bisect_right(logs, bt, i)
         mid = bisect_right(logs, bt / 2, i)
-        nv = cmath.exp(-s * lv)
-        total += nv
-        count += 1
-        total += nv * (prefix[hi] - prefix[mid])
-        count += hi - mid
+        nodes.append((lv, i, mid, hi))
         for j in range(i, mid):
             stack.append((j, lv + logs[j]))
-    return total, count
+    nodes.sort()
+    terms = [cmath.exp(-s * lv) * (1 + (prefix[hi] - prefix[mid])) for lv, _, mid, hi in nodes]
+    return complex(np.sum(np.array(terms, dtype=complex), initial=0j)), sum(1 + hi - mid for *_, mid, hi in nodes)
 
 
 def heap_stream(system, bound):
@@ -450,16 +449,16 @@ def test_kept_nodes_give_the_walks_answers(case, us, s):
 
 @given(systems_and_bounds(near_one=True), st.floats(0.0, 1.0))
 def test_nodes_at_a_lower_bound_are_the_depth_first_walks(case, u):
-    """Cut from the horizon's nodes, the nodes at x are closed under parents, and in
-    the kept pre-order they are the depth-first walk's nodes, bit for bit."""
+    """Cut from the horizon's nodes, the nodes at x are closed under parents, and by
+    (v, i) they are the depth-first walk's nodes, sorted, bit for bit."""
     system, bound = case
     nodes = horizon_nodes(system)
     for x in (bound, 1 + (system.limit - 1) * u, system.limit):
         top = math.log(x) + log_tolerance(x)
         keep = nodes.step <= (top - nodes.vpar) / 2
         assert keep[0] and keep[nodes.parent[keep]].all()
-        got = np.array(nodes.at(top, preorder=True)).T
-        want = np.array(list(dfs_walk(system, math.log(x), log_tolerance(x))))
+        got = np.array(nodes.at(top, ordered=True)).T
+        want = np.array(sorted(dfs_walk(system, math.log(x), log_tolerance(x))))
         assert got.tobytes() == want.tobytes()
 
 
@@ -516,8 +515,8 @@ def test_nodes_grow_to_the_square_of_the_bound():
 
 @pytest.mark.parametrize("make", [rational_primes, gaussian_system])
 def test_the_horizon_read_is_kept_on_its_nodes(make):
-    """The Dirichlet sum at the nodes' own top reads the pre-order (v, i, mid, hi)
-    each `_Nodes` keeps, read-only.  First used at a low bound, the system reads it
+    """The Dirichlet sum at the nodes' own top reads the (v, i, mid, hi) by (v, i)
+    that each `_Nodes` keeps, read-only.  First used at a low bound, the system reads it
     at the top of its first nodes, then grows new nodes to the horizon, which keep
     their own; a lower top is still cut from the nodes by `keep`."""
     system = make(10**4)
@@ -526,22 +525,22 @@ def test_the_horizon_read_is_kept_on_its_nodes(make):
         first = counting._node_cell(system)[0][0]
         assert first.top < math.log(system.limit)
         assert_same_power_sum(system, first.top, 0.0, s)
-    assert "preorder_at_top" in vars(first)
+    assert "ordered_at_top" in vars(first)
     for s in (2.0 + 0j, 1.5 + 14.134725j, 3.0 - 1000.0j):
         assert_same_power_sum(system, math.log(system.limit), log_tolerance(system.limit), s)
     grown = counting._node_cell(system)[0][0]
     assert grown is not first and grown.top == math.log(system.limit) + log_tolerance(system.limit)
-    kept = grown.preorder_at_top
-    assert len(kept[0]) == len(grown.v) > len(first.preorder_at_top[0])
+    kept = grown.ordered_at_top
+    assert len(kept[0]) == len(grown.v) > len(first.ordered_at_top[0])
     for a in kept:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     for top in (first.top, math.nextafter(grown.top, 0.0)):
-        v, i, mid, hi = grown.at(top, preorder=True)
-        rows = grown.preorder[grown.keep(top)[grown.preorder]]
+        v, i, mid, hi = grown.at(top, ordered=True)
+        rows = grown.order[grown.keep(top)[grown.order]]
         assert v.tobytes() == grown.v[rows].tobytes() and i.tobytes() == grown.i[rows].tobytes()
-        want = np.array(list(dfs_walk(system, top, 0.0))).T
+        want = np.array(sorted(dfs_walk(system, top, 0.0))).T
         assert np.array([v, i, mid, hi]).tobytes() == want.tobytes()
 
 
