@@ -408,20 +408,25 @@ def _power_sum_leq(system: GPrimeSystem, top: float, s: complex):
 def _capped_bound(system: GPrimeSystem, bound: float) -> float:
     """The log top to walk to `bound`, once the bound and its count pass the caps.
 
-    The caps are read here, at each call.  The count stops once it passes
-    MATERIALISE_REFUSE_CAP, so a refusal takes time that grows with the cap, not
-    with the set, and the count it reports is a lower bound.
+    The count stops once it passes MATERIALISE_REFUSE_CAP, so a refusal takes time
+    that grows with the cap, not with the set, and the count it reports is a lower
+    bound.
     """
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
     _check_bound(system, bound)
     top = log_top(bound)
-    n = _count_leq(system, top, MATERIALISE_REFUSE_CAP)
-    if n > MATERIALISE_REFUSE_CAP:
-        raise MaterialisationError(f"{n} g-integers exceed the cap {MATERIALISE_REFUSE_CAP}")
-    if n > MATERIALISE_WARN_CAP:
-        warnings.warn(f"materialising {n} g-integers (warn cap {MATERIALISE_WARN_CAP})")
+    _check_caps(_count_leq(system, top, MATERIALISE_REFUSE_CAP), "g-integers")
     return top
+
+
+def _check_caps(n: int, what: str) -> None:
+    """Refuse n items above MATERIALISE_REFUSE_CAP, warn above MATERIALISE_WARN_CAP;
+    the caps are read here, at each call."""
+    if n > MATERIALISE_REFUSE_CAP:
+        raise MaterialisationError(f"{n} {what} exceed the cap {MATERIALISE_REFUSE_CAP}")
+    if n > MATERIALISE_WARN_CAP:
+        warnings.warn(f"materialising {n} {what} (warn cap {MATERIALISE_WARN_CAP})")
 
 
 def _sorted_logs_leq(system: GPrimeSystem, bound: float) -> np.ndarray:
@@ -453,41 +458,59 @@ def count_pi(system: GPrimeSystem, x: float) -> int:
 
 
 def _build_prime_powers(system: GPrimeSystem, top: float):
-    """(L, W, cumsum W) over the prime powers with log value <= top, by log value,
-    ties by prime index and then exponent: the order a stable sort of a
-    prime-by-prime loop gives.
+    """(L, W, psi) over the prime powers with log value <= top, by log value, ties
+    by prime index: the order a stable sort of a prime-by-prime loop gives.
 
     Each prime's powers are one sequential cumsum of its log, the floats of the
-    loop's repeated `v += log p`.
+    loop's repeated `v += log p`; a stable sort keeps a prime's tied powers in
+    exponent order.  psi is the running sum of W compensated by Sum2 (Ogita, Rump
+    and Oishi, SIAM J. Sci. Comput. 26 (2005)): TwoSum gives each addition's
+    rounding error exactly, and their running sum is added back, so each entry is
+    within about an ulp of the exact sum of its prefix.  The entries the build
+    allocates are counted first, under the materialisation caps.
     """
     logs = system._logs
     n = int(np.searchsorted(logs, top, side="right"))
-    L, i, k = [logs[:n]], [np.arange(n)], [np.ones(n, dtype=np.intp)]
-    for j in range(int(np.searchsorted(logs, top / 2, side="right"))):  # lp + lp <= top
-        lp = logs[j]
-        # the sum of m terms is within a relative m * 2**-53 of m * lp, far inside
-        # the 1e-6 margin, so the last sum passes top
-        powers = np.cumsum(np.full(int(top / lp * (1 + 1e-6)) + 2, lp))
+    # the primes with lp + lp <= top have powers past their first; a sum of m terms
+    # is within a relative m * 2**-53 of m * lp, far inside the 1e-6 margin, so each
+    # prime's last sum passes top
+    powered = logs[: np.searchsorted(logs, top / 2, side="right")]
+    sizes = [int(top / lp * (1 + 1e-6)) + 2 for lp in powered.tolist()]
+    _check_caps(n + sum(sizes), "prime-power entries")
+    L, i = [logs[:n]], [np.arange(n)]
+    for j, size in enumerate(sizes):
+        powers = np.cumsum(np.full(size, logs[j]))
         m = int(np.searchsorted(powers, top, side="right"))
         L.append(powers[1:m])
         i.append(np.full(m - 1, j))
-        k.append(np.arange(2, m + 1))
-    L, i, k = (np.concatenate(c) for c in (L, i, k))
-    order = np.lexsort((k, i, L))
+    L, i = np.concatenate(L), np.concatenate(i)
+    order = np.lexsort((i, L))
+    L = L[order]
     W = logs[i[order]]
-    return L[order], W, np.cumsum(W)
+    del i, order
+    # Sum2, in place to bound the build's peak: s = cumsum W, and the TwoSum error
+    # of s[k] = fl(a + b), a = s[k-1], b = W[k], is (a - (s[k] - z)) + (b - z) with
+    # z = s[k] - a
+    s = np.cumsum(W)
+    z = s[1:] - s[:-1]
+    err = W[1:] - z
+    np.subtract(s[1:], z, out=z)
+    np.subtract(s[:-1], z, out=z)
+    z += err
+    s[1:] += np.cumsum(z, out=z)
+    return L, W, s
 
 
 @per_system
 def _psi_profile(system: GPrimeSystem) -> list:
-    """A cell holding the prime-power table built so far: (top, L, W, cumsum W), the
+    """A cell holding the prime-power table built so far: (top, L, W, psi), the
     table up to the log top `top`.  `_prime_powers` grows it; threads that grow it
     together each build and slice their own table, and one of them is kept."""
     return [(-math.inf, np.zeros(0), np.zeros(0), np.zeros(0))]
 
 
 def _prime_powers(system: GPrimeSystem, bound: float):
-    """(L, W, cumsum W) over the prime powers <= bound, sliced from `_psi_profile`.
+    """(L, W, psi) over the prime powers <= bound, sliced from `_psi_profile`.
 
     A bound past the table's top rebuilds it to `_grown_top`, as `_nodes` grows the
     kept nodes, so a first bound at or above the horizon's square root takes one
@@ -514,14 +537,13 @@ def prime_power_table(system: GPrimeSystem, bound: float) -> tuple[np.ndarray, n
 
 
 def psi(system: GPrimeSystem, x: float) -> float:
-    """Chebyshev-type weighted count: sum of log p over prime powers <= x."""
+    """Chebyshev-type weighted count: sum of log p over prime powers <= x, the last
+    entry of the prime-power table's compensated running sum."""
     if x < 1:
         raise ParameterError(f"x must be >= 1, got {x}")
     _check_bound(system, x, "x")
-    lx = log_top(x)
-    lp = system._logs[: np.searchsorted(system._logs, lx, side="right")]
-    # cumsum adds in index order, as a loop does; np.sum adds pairwise and changes bits
-    return float(np.cumsum(np.floor(lx / lp) * lp)[-1]) if len(lp) else 0.0
+    cum = _prime_powers(system, x)[2]
+    return float(cum[-1]) if len(cum) else 0.0
 
 
 def von_mangoldt(system: GPrimeSystem, n: GInteger) -> float:

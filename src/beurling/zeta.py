@@ -182,10 +182,10 @@ def phi_continued(system: GPrimeSystem, s: complex, x_max: float | None = None) 
     X = system.limit if x_max is None else float(x_max)
     if X > system.limit:
         raise ParameterError(f"x_max {X} exceeds system limit {system.limit}")
-    L, _, cum = _prime_powers(system, X)
+    L, W, cum = _prime_powers(system, X)
     _check_phase(s, X)
     psi_X = float(cum[-1]) if len(cum) else 0.0
-    series = complex(np.sum(np.diff(np.concatenate([[0.0], cum])) * np.exp(-s * L)))
+    series = complex(np.sum(W * np.exp(-s * L)))
     value = series + s / (s - 1) * X ** (1 - s) - psi_X * X ** (-s)
     R, alpha = _remainder_envelope(system, X)
     warns: tuple[str, ...] = ()

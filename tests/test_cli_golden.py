@@ -5,10 +5,12 @@ shared between counting and zeta, the seven from --config to --s-grid
 from the commit before the CLI checked option values by argparse type, and
 the last two `gen` runs from the heap stream, before the sorted stream was
 read off the walk, the `order coincide` witness from the bracket search,
-before orderings_coincide took brackets in closed form, the three `perron`
-runs from the line sums by one non-uniform FFT, and the two `--method
+before orderings_coincide took brackets in closed form, the two `--method
 dirichlet` and two `--method mellin` zeta runs from the Dirichlet sum over the
-nodes sorted by (v, i) (Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
+nodes sorted by (v, i), and the five `count` runs that print a changed psi,
+the three `perron` runs and the `--method continued` zeta run from the
+prime-power table's compensated running sum, which psi reads (Python 3.11.7,
+numpy 2.4.6, mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -25,7 +27,7 @@ from beurling.cli import main
 
 README_EXAMPLES = [
     ("count --system builtin:rationals --limit 1000 --grid 10:1000:10",
-     "e4033d71abc568de5f0f73d11e40416290ba7a1f6222e4ea69653bde6308e74f"),
+     "7611a1a55815a58e00971922f40cc0e1a8a5f89b7255235d53d6c5a65110a7d6"),
     ("gen --system list:2,3 --limit 100 --bound 50",
      "c47501a268ff33df0223a86591ae709bb0a2651e791752c141d2ac24dd8dc230"),
     ("zeta --system builtin:rationals --limit 100000 --s 2 --s 2+10i --method euler --json",
@@ -33,9 +35,9 @@ README_EXAMPLES = [
     ("zeta --system builtin:rationals --limit 10000 --s 3 --method mellin",
      "2c14dfb82e92950663fd5a9fb1b862c747f3a58ec9808f60284ce4d8d36884c1"),
     ("perron --system builtin:rationals --limit 10000 --x 1000.5 --T 10000",
-     "e6cbcc9f2932aba92b11e0d5818557efbaf4edf4a1b35c1cc67791258e23c557"),
+     "026697e5e7b183a03e0117c7617c411d88977d40236eb2bbad8eb4adbd653047"),
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
-     "b61726ce15b331392a2a9656542cbc194bd867fad3b61733c2b14ad3e67cb80f"),
+     "00daa3d60b70b5ade5cc69d8140f15b0b92aee253439be7784ffbc0f971e4f3c"),
     ("mellin --kernel exp --s 0.5 --op transform",
      "e818057c8e9d1a361059668f8b75072db4915fc0e68e7f394b87eb5a3aad1ee7"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
@@ -57,7 +59,7 @@ MORE_INVOCATIONS = [
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+4i --method dirichlet",
      "1595a9768cfb26bef59f982f83c8af4d410ad5618f2d8c658b2c00c6e6604dc0"),
     ("zeta --system builtin:rationals --limit 10000 --s 0.9 --s 2+10i --method continued",
-     "14b5843936279b0105ca4693a755bb9cf845fe6b6d3215b5d9c6df1586163d69"),
+     "e3e558615ded26db6230e1032d8685cf287c5ba57522e9c696abba9e0371528e"),
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 1.5+3i --method phi",
      "c66b1dd552d2b4e570ec3e65df4dc9eb45f4cf76622081bbe6e60fc82541c227"),
     ("zeta --system builtin:gaussian --limit 10000 --s 2 --s 1.5+3i --method mellin --cutoff 5000",
@@ -73,19 +75,19 @@ MORE_INVOCATIONS = [
     ("fe-check --pair theta --s-grid 0.3+1i,0.7-2i",
      "f06ab34eaaa773bf8b2a039074ff18eeea003be3f24a44b429b55ea059f16d20"),
     ("count --system builtin:gaussian --limit 10000 --grid 1:10000:7",
-     "686c821a841428814ff9d9aa2ed4b6017c7ce9a0733090b893704b7356f695a7"),
+     "9c50942b506143f4255f0db4ab032d95a9e9d5a6fb7059af0bdd4268d6d37bbc"),
     ("count --system builtin:gaussian --limit 1000 --grid 1:1000:1 --json",
-     "100fa38025dc95c96037e8ac9c5e8207709db941bfcee2d4a6f6d71e01956841"),
+     "94e9944b3331670018ab1359b87e4097ee0a5a8848cbe9860950fd477b14c993"),
     ("count --system list:2,2,3.5 --limit 500 --grid 1:500:0.5",
-     "92d94b667e7e53015159b35e9b5a5a65cdd0b2be9e1d0986af05618d3d1b567c"),
+     "0bc3e7448e5e8eef3dd886dcf5c0470fab0e3b48d35c577c39280fb703d31526"),
     ("perron --system builtin:gaussian --limit 10000 --x 2000.5 --T 1000",
-     "5a157b8216035fddf4d9d48c4ae0335b5cc0384697e76524090e056c78f6f312"),
+     "2df74ad8e1ed37aa02bbc944e77d1a984b8da383b31561574d8ee369626e95c2"),
     ("gen --system builtin:gaussian --limit 200 --bound 200",
      "7668755329decfb6d90b946098e871491516c4928ba9df3d3635ef2982802d89"),
     ("gen --system list:2,2,3 --limit 100 --bound 10 --power 0.5",
      "f06e3abba51b8e9032ab8445255844be239895d916cd45e0c0fb9d371d277bc6"),
     ("count --config {config} --grid 10:100:10",
-     "196e70127a7fa4aec505a7c8d07c121e3e85a86b0baafaeb70c935c2723e36c2"),
+     "6dee93b968832fb2dc15cdfc487565bef4fcd7a19687521e9310af20ec8095ef"),
     ("count --system builtin:rationals --limit 100 --grid 10,20,50 --out {out}",
      "4b795f828c4ddfb622ebbb218a60f9f2bd433ee9bcda7e9cd135391016e9b2e7"),
     ("order coincide --system builtin:rationals --limit 1000 --system2 builtin:rationals --prefix 200 --power 0.5",

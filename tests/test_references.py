@@ -14,8 +14,10 @@ from all g-integer values up to twice its point; it now takes the values near
 its window from the nodes, and the least one above it.  orderings_coincide
 searched each bracket f_k(n) of two induced orders by doubling and bisection;
 it now takes them in closed form.  psi was a loop over the primes; it is now
-one array expression.  counting_report sorted its grid with `sorted` and took
-`log_tolerance` point by point; it now does both over arrays.  The sieve, the
+the last entry of the prime-power table's running sum, compensated by Sum2,
+and the table's loop keeps the same compensation.  counting_report sorted its
+grid with `sorted` and took `log_tolerance` point by point; it now does both
+over arrays.  The sieve, the
 Gaussian system, the validation of a system's primes and the prime-power
 table were loops; they are now array operations.  All must give the same
 floats, and the same errors.
@@ -37,6 +39,7 @@ from hypothesis import strategies as st
 
 from beurling import (
     count_N,
+    counting_report,
     from_list,
     g_integer_values,
     gaussian_system,
@@ -46,6 +49,7 @@ from beurling import (
     stream_gintegers,
 )
 from beurling import counting, orders, perron, systems
+from beurling.counting import prime_power_table
 from beurling.errors import (
     InvalidPrimeError,
     MaterialisationError,
@@ -139,14 +143,9 @@ def heap_stream(system, bound):
 
 
 def reference_psi(system, x):
-    """The per-prime loop: floor(log x / log p) powers of each p, added in prime order."""
-    lx = math.log(x) + log_tolerance(x)
-    total = 0.0
-    for lp in system.log_primes:
-        if lp > lx:
-            break
-        total += math.floor(lx / lp) * lp
-    return float(total)
+    """The last entry of the prime-by-prime loop's compensated running sum."""
+    cum = reference_prime_powers(system, x)[2]
+    return float(cum[-1]) if len(cum) else 0.0
 
 
 def items(stream):
@@ -795,6 +794,7 @@ def systems_and_points(draw):
 
 @given(systems_and_points())
 def test_psi_is_the_prime_loop(case):
+    """psi is the last entry of the prime-by-prime loop's compensated running sum."""
     system, x = case
     assert psi(system, x) == reference_psi(system, x)
 
@@ -810,6 +810,8 @@ def test_psi_is_the_prime_loop(case):
     ids=["rationals", "gaussian", "power", "near-one"],
 )
 def test_psi_is_the_prime_loop_on_fixed_systems(system):
+    """psi is the last entry of the prime-by-prime loop's compensated running sum
+    at the edges, the horizon and 97 points between."""
     limit = system.limit
     points = [1.0, 1.5, 2.0, 2.0 - 1e-13, limit] + [1 + (limit - 1) * k / 97 for k in range(97)]
     for x in points:
@@ -953,7 +955,9 @@ def reference_validation(primes):
 
 def reference_prime_powers(system, bound):
     """The prime-by-prime loop: each prime's powers by repeated addition of its
-    log, then a stable sort by log value."""
+    log, then a stable sort by log value.  The running sum of the weights is
+    Sum2's, in Python floats: each addition's error by Knuth's TwoSum, their
+    running sum added back."""
     lb = math.log(bound) + log_tolerance(bound)
     L, W = [], []
     for lp in system.log_primes:
@@ -964,7 +968,14 @@ def reference_prime_powers(system, bound):
             v += lp
     order = np.argsort(np.asarray(L), kind="stable")
     W = np.asarray(W)[order]
-    return np.asarray(L)[order], W, np.cumsum(W)
+    cum, total, error = [], 0.0, 0.0
+    for w in W.tolist():
+        new = total + w
+        z = new - total
+        error += (total - (new - z)) + (w - z)
+        total = new
+        cum.append(total + error)
+    return np.asarray(L)[order], W, np.asarray(cum, dtype=float)
 
 
 # small limits, the squares of 3 and 7 (primes = 3 mod 4), points just below
@@ -998,6 +1009,7 @@ def systems_near_one(draw):
 
 @given(systems_near_one())
 def test_prime_power_table_is_the_prime_loop(case):
+    """The table's L, W and compensated running sum are the prime-by-prime loop's."""
     system, bound = case
     got = counting._build_prime_powers(system, math.log(bound) + log_tolerance(bound))
     for a, b in zip(got, reference_prime_powers(system, bound)):
@@ -1053,7 +1065,8 @@ def _first_bound_reaching(target):
 def test_prime_power_table_at_the_log_bound_of_a_power():
     """Bounds whose log bound is the first float at or above a power's sum: a
     search on the wrong side of a tie, or a sum array cut at lb / lp terms
-    (the sum of k terms can sit below k * lp), drops that power."""
+    (the sum of k terms can sit below k * lp), drops that power.  The table,
+    its compensated running sum too, is the prime-by-prime loop's."""
     ties = under = 0
     for primes in ([2.0, 3.0, 5.0], [1.001, 1.003, 2.0]):
         system = from_list(primes, 100.0)
@@ -1069,6 +1082,24 @@ def test_prime_power_table_at_the_log_bound_of_a_power():
                 for a, b in zip(got, reference_prime_powers(system, bound)):
                     assert a.tobytes() == b.tobytes(), (primes, k, bound)
     assert ties and under  # both edges were met
+
+
+def test_psi_is_the_count_column_at_the_log_bound_of_a_power():
+    """psi and counting_report's psi column read one table: bit for bit at the
+    bounds where a power's sum is first reached, on primes near one, where the
+    prime loop's floor(lb / lp) powers can be one short of the sums that fit."""
+    system = from_list([1.001, 1.003, 2.0], 100.0)
+    bounds = []
+    for lp in system.log_primes[:2].tolist():
+        for s in np.cumsum(np.full(300, lp)).tolist():
+            bounds.append(_first_bound_reaching(s))
+    report = counting_report(system, bounds)
+    assert report.grid.tolist() == sorted(bounds)
+    assert report.psi.tolist() == [psi(system, b) for b in report.grid.tolist()]
+    # the README's example: psi counts 1.001**44 here, where N's leaf rule does not
+    b = 1.0449593808430555
+    assert b in bounds and psi(system, b) == counting_report(system, [b]).psi[0]
+    assert np.count_nonzero(prime_power_table(system, b)[1] == system.log_primes[0]) == 44
 
 
 def diagonal_points(kmax):
