@@ -7,8 +7,13 @@ On the strip the product G(s) * zeta(s) equals int_0^inf x^{s-1} F(x) dx,
 and a verified asymptotic expansion of F at 0+ continues that integral to
 the left: the expansion part integrates in closed form to the pole sum
   -sum_m m! a_m / (lambda_n - s)^{m+1}
-per term, the subtracted integrand is quadratured on [xmin, 1], and the
-[1, inf) piece converges for Re s < beta.
+per term, the subtracted integrand is integrated on [xmin, 1], and the
+[1, inf) piece converges for Re s < beta.  Both pieces are one run of
+`_de_quad`, a double-exponential rule in numpy (tanh-sinh on [xmin, 1],
+exp-sinh past 1) whose nested levels each read F once, at their new nodes,
+through the array form of `partition_F`.  It stops when two levels agree to
+QUAD_TARGET and reports their difference: an error estimate, not a bound.
+`mellin_G` alone still runs mpmath's quadrature.
 
 Sign conventions: alpha here is the 0+ exponent as used for continuation
 (g = O(x^alpha)); the functional-equation statements use the opposite sign
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +41,73 @@ POLE_TOL = 1e-9
 EXPANSION_MARGIN = 0.25  # how much faster than its last term a prefix's remainder must fall
 FE_TOL = 1e-10  # a functional-equation residual whose tail budget passes this is inconclusive
 FE_POLE_SKIP = 1e-3  # s-grid points this close to a declared pole are skipped, not continued
+DE_STEP = 0.5  # the t-step of the double-exponential rule's first level
+DE_LEVELS = 7  # levels at most, the last at step DE_STEP / 2^6
+PAIRS_PER_BLOCK = 1 << 15  # (x, n) pairs a partition_F block hands the kernel at once
+_EPS = 2.0**-52
+_U_MAX = math.log(sys.float_info.max) - 10  # past it exp-sinh's weight overflows
+
+
+def _de_quad(f, a: float, b: float):
+    """(int_a^inf f(x) dx, error estimate) for 0 < a <= b by the double-exponential
+    rules of Takahashi and Mori (Publ. RIMS 9 (1974), 721-741), u = (pi/2) sinh t:
+    tanh-sinh on [a, b], x = a + (b - a) / (1 + e^{-2u}), and exp-sinh on
+    [b, inf), x = b + e^u, each a trapezoid sum in t.
+
+    f maps an array of x to an array of values; it is called once per level, at
+    that level's new nodes (level k has step DE_STEP / 2^k: every multiple of it
+    at level 0, the odd ones after).  Each t-range ends where a node would round
+    onto a finite end, leaving out under 2^-52 b of x there, so tanh-sinh's nodes
+    lie in (a, b), exp-sinh's in (b, inf), and f may tell them apart by x < b.
+    Exp-sinh's upper end starts where its weight nears the float range; level 0
+    moves it to its first node past the last whose term passes 2^-53 of the
+    largest.  The rule stops once two levels agree to QUAD_TARGET of the sum, or
+    after DE_LEVELS levels, and returns the last sum and its distance from the one
+    before: an estimate of the error, not a bound.
+    """
+    pieces = []  # [t_lo, t_hi, nodes(t) -> (x, dx/dt)]
+    span = (b - a) / (_EPS * b) - 1.0  # tanh-sinh's last node keeps _EPS * b from an end
+    if span > 1.0:
+
+        def tanh_sinh(t):
+            e = np.exp(-np.pi * np.abs(np.sinh(t)))  # e^{-2|u|}
+            gap = (b - a) * e / (1.0 + e)  # the node's distance from its nearer end
+            return np.where(t < 0, a + gap, b - gap), np.pi * np.cosh(t) * gap / (1.0 + e)
+
+        t_end = math.asinh(math.log(span) / math.pi)
+        pieces.append([-t_end, t_end, tanh_sinh])
+
+    def exp_sinh(t):
+        eu = np.exp(0.5 * np.pi * np.sinh(t))
+        return b + eu, 0.5 * np.pi * np.cosh(t) * eu
+
+    t_start = -math.asinh(-2 / math.pi * math.log(_EPS * b))  # e^u = 2^-52 b: before it x rounds to b
+    pieces.append([t_start, math.asinh(2 / math.pi * _U_MAX), exp_sinh])
+
+    total, value = 0.0, None
+    for level in range(DE_LEVELS):
+        h = DE_STEP / 2**level
+        xs, ws = [], []
+        for t_lo, t_hi, nodes in pieces:
+            m = np.arange(math.ceil(t_lo / h), math.floor(t_hi / h) + 1)
+            t = (m if level == 0 else m[m % 2 == 1]) * h
+            x, w = nodes(t)
+            xs.append(x)
+            ws.append(w)
+        with np.errstate(over="ignore"):  # a kernel may overflow where it vanishes
+            terms = np.concatenate(ws) * f(np.concatenate(xs))
+        if level == 0:  # t and the last len(t) terms are exp-sinh's: cut where they vanish
+            size = np.abs(terms)
+            tiny = 2.0**-53 * np.max(size[np.isfinite(size)], initial=0.0)
+            live = np.flatnonzero(~(size[-len(t) :] <= tiny))  # nan and inf stay
+            keep = min(live[-1] + 2, len(t)) if len(live) else 1
+            pieces[-1][1] = t[keep - 1]
+            terms = terms[: len(terms) - len(t) + keep]
+        total = total + np.sum(terms)
+        value, previous = h * total, value
+        if previous is not None and abs(value - previous) <= QUAD_TARGET * abs(value):
+            break
+    return value, float(abs(value - previous))
 
 
 @dataclass(frozen=True)
@@ -42,7 +115,9 @@ class Kernel:
     """A continuous kernel on (0, inf) with certified endpoint exponents.
 
     tail_integral(lo, scale) must bound int_lo^inf |g(t*scale)| dt; builtin
-    kernels carry closed forms, custom kernels fall back to quadrature.
+    kernels carry closed forms.  Custom kernels fall back to `_de_quad`'s
+    exp-sinh rule on [lo, inf), whose value is an estimate: its last two
+    levels agree to QUAD_TARGET of it, which bounds nothing.
     """
 
     name: str
@@ -60,8 +135,8 @@ class Kernel:
     def tail(self, lo: float, scale: float) -> float:
         if self.tail_integral is not None:
             return float(self.tail_integral(lo, scale))
-        val = mp.quad(lambda t: abs(self.evaluate(float(t * scale))), [lo, mp.inf])
-        return float(val)
+        value, _ = _de_quad(lambda t: np.abs(_kernel_apply(self, t * scale)), lo, lo)
+        return float(value)
 
 
 def _gauss(u):
@@ -113,12 +188,13 @@ class AsymptoticExpansion:
             if complex(self.remainder_lambda).real >= prev:
                 raise ParameterError("remainder exponent must sit below the last term")
 
-    def leading_sum(self, x: float) -> complex:
-        lx = math.log(x)
+    def leading_sum(self, x):
+        """F_N(x), the sum of the terms, at a float x > 0 or at each entry of an array."""
+        lx = np.log(x)
         total = 0.0 + 0.0j
         for lam, coeffs in self.terms:
-            poly = sum(a * lx**m for m, a in enumerate(coeffs))
-            total += poly * x ** (-complex(lam))
+            poly = sum(complex(a) * lx**m for m, a in enumerate(coeffs))
+            total = total + poly * x ** (-complex(lam))
         return total
 
     def pole_terms(self, s: complex) -> complex:
@@ -180,7 +256,7 @@ def _kernel_apply(kernel: Kernel, arr: np.ndarray) -> np.ndarray:
 def partition_F(
     system: GPrimeSystem,
     kernel: Kernel,
-    x: float,
+    x,
     cutoff: float | None = None,
     tail_tol: float = 1e-15,
 ) -> TailedValue:
@@ -189,21 +265,56 @@ def partition_F(
     With cutoff omitted it is grown geometrically until the density-envelope
     tail rho_hat * int_cutoff^inf |g(t x)| dt falls below tail_tol, capped at
     the system horizon (an over-cap tail is reported, not fatal).
+
+    x may be an array; the result then holds an array of values, tails and
+    cutoffs, and a float x is its one-element case.  The kernel runs once over
+    the (x, n) pairs, in blocks of at most PAIRS_PER_BLOCK pairs (an x with more
+    takes a block of its own), and each x's pairs are summed by np.add.reduce
+    over their own slice, as np.sum sums them, so every entry is the
+    one-element call's bit for bit.
     """
-    if not (x > 0):
-        raise ParameterError(f"partition functions need x > 0, got {x}")
+    xs = np.asarray(x, dtype=float)
+    one, xs = xs.ndim == 0, xs.reshape(-1)
+    bad = [xi for xi in xs.tolist() if not xi > 0]
+    if bad:
+        raise ParameterError(f"partition functions need x > 0, got {bad[0]}")
     logs, values = _cached_values(system)
     rho = len(values) / system.limit
-    if cutoff is None:
-        cutoff = min(max(2.0, 2.0 / x), system.limit)
-        while cutoff < system.limit and rho * kernel.tail(cutoff, x) > tail_tol:
-            cutoff = min(cutoff * 2.0, system.limit)
-    if not (1 <= cutoff <= system.limit):
-        raise ParameterError(f"cutoff {cutoff} is outside [1, {system.limit}]")
-    vals = values[: np.searchsorted(logs, log_top(cutoff), side="right")]
-    total = complex(np.sum(_kernel_apply(kernel, vals * x)))
-    tail = rho * kernel.tail(float(cutoff), x)
-    return TailedValue(total, float(tail), float(cutoff))
+    limit, tail = system.limit, kernel.tail
+    cutoffs, tails = [], []
+    for xi in xs.tolist():
+        if cutoff is None:
+            c = min(max(2.0, 2.0 / xi), limit)
+            t = rho * tail(c, xi)
+            while c < limit and t > tail_tol:
+                c = min(c * 2.0, limit)
+                t = rho * tail(c, xi)
+        elif 1 <= cutoff <= limit:
+            c = float(cutoff)
+            t = rho * tail(c, xi)
+        else:
+            raise ParameterError(f"cutoff {cutoff} is outside [1, {limit}]")
+        cutoffs.append(c)
+        tails.append(t)
+    counts = np.searchsorted(logs, [log_top(c) for c in cutoffs], side="right").tolist()
+    totals = np.empty(len(xs), complex)
+    start = 0
+    while start < len(xs):  # a block: the next x's while their pairs fit
+        stop, pairs = start + 1, counts[start]
+        while stop < len(xs) and pairs + counts[stop] <= PAIRS_PER_BLOCK:
+            pairs += counts[stop]
+            stop += 1
+        block = counts[start:stop]
+        u = np.concatenate([values[:k] for k in block]) * np.repeat(xs[start:stop], block)
+        g = _kernel_apply(kernel, u)
+        lo = 0
+        for i, k in enumerate(block, start):
+            totals[i] = np.add.reduce(g[lo : lo + k])
+            lo += k
+        start = stop
+    if one:
+        return TailedValue(complex(totals[0]), tails[0], cutoffs[0])
+    return TailedValue(totals, np.array(tails), np.array(cutoffs))
 
 
 def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
@@ -342,27 +453,22 @@ def _mellin_cut(F, expansion: AsymptoticExpansion, s: complex, beta: float):
 
 
 def _mellin_quad(F, expansion: AsymptoticExpansion, s: complex, xmin: float, bound_below: float):
-    """The continuation at s from its cut: the subtracted integrand on [xmin, 1], the
-    pole terms and F's own integral on [1, inf)."""
+    """The continuation at s from its cut: int_xmin^inf x^{s-1} (F(x) - [x < 1] F_N(x)) dx
+    by `_de_quad`, split at the jump x = 1 (tanh-sinh on [xmin, 1], exp-sinh past it),
+    plus the pole terms.  F, which takes an array of x, is read once per level.  The
+    tail adds the rule's level difference, an estimate, to the bound on (0, xmin]."""
 
-    def subtracted(x: float) -> complex:
-        r = F(x)
-        return complex(r.value) - expansion.leading_sum(x)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        fx = F(x).value
+        low = x < 1
+        fx[low] -= expansion.leading_sum(x[low])
+        out = np.zeros_like(fx)
+        live = fx != 0  # where F has underflowed, x^{s-1} may overflow; the term is 0
+        out[live] = x[live] ** (s - 1) * fx[live]
+        return out
 
-    sm = mp.mpc(s)
-    v1, e1 = mp.quad(
-        lambda x: mp.mpf(float(x)) ** (sm - 1) * subtracted(float(x)),
-        [xmin, 1],
-        error=True,
-    )
-    v2, e2 = mp.quad(
-        lambda x: mp.mpf(float(x)) ** (sm - 1) * complex(F(float(x)).value),
-        [1, mp.inf],
-        error=True,
-    )
-    value = complex(v1) + expansion.pole_terms(s) + complex(v2)
-    tail = float(e1 + e2) + bound_below
-    return TailedValue(value, tail, xmin)
+    value, error = _de_quad(integrand, xmin, 1.0)
+    return TailedValue(complex(value) + expansion.pole_terms(s), error + bound_below, xmin)
 
 
 def continue_Gzeta(
@@ -376,7 +482,9 @@ def continue_Gzeta(
     Equals mellin_G(s) * zeta(s) on 1 < Re s < beta; poles at each expansion
     exponent, with order = polynomial degree + 1 (raised as PoleError).  Valid
     for Re s < beta and, unless the declared remainder is super-polynomial,
-    Re s above the remainder exponent.
+    Re s above the remainder exponent.  The integral from xmin is one
+    `_de_quad` run that reads F once per level; the tail adds the difference
+    of its last two levels, an estimate, to the (0, xmin] term.
     """
     s = complex(s)
     F = lambda x: partition_F(system, kernel, x, tail_tol=QUAD_TARGET * 1e-3)
@@ -489,8 +597,10 @@ def check_fe_mellin(spec1: PartitionSpec, spec2: PartitionSpec, s_grid) -> FEMel
     """Evaluate Psi1(1-s) and Psi2(s) independently, to QUAD_TARGET, and report the residuals.
 
     Each side is continued from its own expansion (no use of the functional
-    relation), so agreement is evidence, not construction.  Grid points
-    within FE_POLE_SKIP of a declared pole of either side are skipped.
+    relation), so agreement is evidence, not construction.  Each runs
+    `_mellin_quad`'s double-exponential rule, whose level difference is an
+    estimate, and both pass their pole and strip checks before either runs.
+    Grid points within FE_POLE_SKIP of a declared pole of either side are skipped.
     """
     poles = [complex(lam) for lam, _ in spec2.expansion.terms]
     poles += [1 - complex(lam) for lam, _ in spec1.expansion.terms]

@@ -120,6 +120,27 @@ def test_only_systems_forms_the_log_top():
     assert not formers, "log tolerance formed outside systems.py: " + ", ".join(formers)
 
 
+def test_only_mellin_G_calls_mp_quad():
+    """The continuation, both sides of the functional-equation check and `Kernel.tail`'s
+    fallback share `mellin._de_quad`, a double-exponential rule in numpy that reads F
+    once per level.  mpmath's `quad` is left only in `mellin_G`."""
+    calls = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "mellin_G"
+            for node in ast.walk(fn)
+        }
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called_name(node) == "quad" and id(node) not in allowed
+        ]
+    assert not calls, "mp.quad called outside mellin_G: " + ", ".join(calls)
+
+
 def class_attributes(tree: ast.Module, module: str):
     """(label, name) of each dataclass field, `self.x =` attribute, method and
     property of the classes in a module, dunders excepted."""

@@ -9,8 +9,10 @@ before orderings_coincide took brackets in closed form, the two `--method
 dirichlet` and two `--method mellin` zeta runs from the Dirichlet sum over the
 nodes sorted by (v, i), and the five `count` runs that print a changed psi,
 the three `perron` runs and the `--method continued` zeta run from the
-prime-power table's compensated running sum, which psi reads (Python 3.11.7,
-numpy 2.4.6, mpmath 1.3.0, x86-64).
+prime-power table's compensated running sum, which psi reads, and the two
+`mellin --op continue` and two `fe-check ... --s-grid` runs from the
+double-exponential rule in numpy that replaced mpmath's quadrature there
+(Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -41,7 +43,7 @@ README_EXAMPLES = [
     ("mellin --kernel exp --s 0.5 --op transform",
      "e818057c8e9d1a361059668f8b75072db4915fc0e68e7f394b87eb5a3aad1ee7"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
-     "99243379b4deaae58de521e4ba7fdddaa2789e14ad5a52b3607732c0e4825183"),
+     "a6a9d6ca5d780ccf79462d2c67d0f540d3f1f2d1d2bef9272fb579f1f6524e11"),
     ("fe-check --pair theta --json",
      "44987a4edefd5f9a1db5cd231c01c6c5d614734e6aaee0137e9270526f9465ff"),
     ("order reconstruct --oracle builtin:rationals --limit 72 --p1 2 --K 20 --n 10000",
@@ -69,11 +71,11 @@ MORE_INVOCATIONS = [
     ("mellin --kernel exp --op partition --system builtin:rationals --limit 10000 --x 0.5 --x 1 --x 2",
      "98ce7e14005ab056319ec9c29f9ecdb9355e88a3f37554583a75f86f8ae21e4e"),
     ("mellin --kernel gauss --op continue --expansion gauss --system builtin:rationals --limit 10000 --s 0.5 --s 0.3+2i",
-     "3773673d35ea9a09b49240c7b057a8118f520b23d3327ce2e9f20f10b6e7b32b"),
+     "ac4d7e6d1d0e221b4686ab43bf4f7dfef0e3d242501606051ebfdf8990f40693"),
     ("mellin --kernel gauss --s 0.5 --s 1+1i --op transform --json",
      "4252297fb6d4b5d62bc13d9a8339378794e5578c6bf1d58c0ee275091f7d0d29"),
     ("fe-check --pair theta --s-grid 0.3+1i,0.7-2i",
-     "f06ab34eaaa773bf8b2a039074ff18eeea003be3f24a44b429b55ea059f16d20"),
+     "e4c3c18eafc3cfd8fc1d9bba8baafb02708807c927b0545ba450ded473351458"),
     ("count --system builtin:gaussian --limit 10000 --grid 1:10000:7",
      "9c50942b506143f4255f0db4ab032d95a9e9d5a6fb7059af0bdd4268d6d37bbc"),
     ("count --system builtin:gaussian --limit 1000 --grid 1:1000:1 --json",
@@ -99,7 +101,7 @@ MORE_INVOCATIONS = [
     ("zeta --system builtin:rationals --limit 10000 --s 2 --s 3+1i --s 1.5-2i --method dirichlet --threads 2",
      "ce6b6471f8f8f41727595dec741f31aff03ed056b8f96a39f2d27c30a95d86d4"),
     ("fe-check --pair theta --x-min 0.7 --x-max 1.4 --x-points 5 --s-grid 0.3+1i",
-     "cb58663eb85f804fb3f8725d65198ace6e44eda7fad4b049632b0290f4dfcd94"),
+     "f5f0f0fb1060ff00776b6a8aa91e2aa249d1b9548b8f4ad1f99cb47b25b5f225"),
     ("gen --system list:2,4,8 --limit 1000 --bound 1000",
      "555a02a31493a00a1357134311279ee01bd9a62ecc79691376a5cdae74c698cb"),
     ("gen --system builtin:gaussian --limit 20000 --bound 20000",

@@ -215,12 +215,16 @@ def test_perron_edges_end_in_an_exit_code(argv, code, in_workdir, alarm, capsys)
 
 def test_an_overflowing_s_is_refused_before_any_quadrature(in_workdir, alarm, capsys, monkeypatch):
     """At s = -1e300 the 1 - s side passes its checks and the s side overflows; both
-    sides are checked before either one's quadrature runs."""
+    sides are checked before either one's quadrature runs.  At s = 2 the same patch
+    is reached, so it stands in for the quadrature that both sides run."""
 
     def no_quad(*args, **kwargs):
-        raise AssertionError("mp.quad ran before the grid point was checked")
+        raise AssertionError("a quadrature ran before the grid point was checked")
 
-    monkeypatch.setattr(mellin.mp, "quad", no_quad)
+    monkeypatch.setattr(mellin, "_de_quad", no_quad)
+    spec1, spec2, _ = mellin.theta_pair(100)
+    with pytest.raises(AssertionError, match="a quadrature ran"):
+        mellin.check_fe_mellin(spec1, spec2, [2.0])
     assert main(shlex.split("fe-check --pair theta --s-grid=-1e300")) == 1
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1

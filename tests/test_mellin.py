@@ -11,6 +11,7 @@ from beurling.errors import ParameterError, PoleError, StripError
 from beurling.mellin import (
     EXPANSIONS,
     KERNELS,
+    QUAD_TARGET,
     AsymptoticExpansion,
     PartitionSpec,
     ResidualSeries,
@@ -25,7 +26,7 @@ from beurling.mellin import (
     theta_pair,
     verify_expansion,
 )
-from beurling.zeta import zeta_dirichlet
+from beurling.zeta import TailedValue, zeta_dirichlet
 
 
 def eta_zeta_oracle(s: float, n: int = 40) -> float:
@@ -398,3 +399,97 @@ def test_custom_kernel_fallbacks_match_the_builtin_exp(naturals):
         want = partition_F(naturals, exp, x, cutoff=cutoff)
         assert got.value == pytest.approx(want.value, rel=1e-14)
         assert (got.tail_bound, got.cutoff) == (want.tail_bound, want.cutoff)
+
+
+def _partition_bits(r):
+    return (complex(r.value).real.hex(), complex(r.value).imag.hex(), float(r.tail_bound).hex(), float(r.cutoff).hex())
+
+
+@pytest.mark.parametrize("kernel", ["exp", "gauss", "scalar"])
+def test_an_array_of_x_is_the_scalar_calls_bit_for_bit(kernel):
+    """partition_F on an array of x gives, entry by entry, the value, tail and cutoff
+    of the call at that x alone, with the cutoff at the horizon (small x) or below it,
+    and for a kernel that only takes scalars (math.exp), applied value by value."""
+    from beurling.mellin import Kernel
+
+    exp = KERNELS["exp"]
+    if kernel == "scalar":  # value by value costs a Python call a pair: a smaller system
+        system, n = rational_primes(2000), 60
+        k = Kernel("exp-scalar", lambda u: math.exp(-u), 0.0, math.inf, exp.tail_integral)
+    else:
+        system, n = rational_primes(2 * 10**4), 400
+        k = KERNELS[kernel]
+    xs = np.exp(np.random.default_rng(28).uniform(math.log(1e-6), math.log(50.0), n))
+    for tail_tol in (1e-13, 1e-15):
+        got = partition_F(system, k, xs, tail_tol=tail_tol)
+        cutoffs = set()
+        for i, x in enumerate(xs.tolist()):
+            want = partition_F(system, k, x, tail_tol=tail_tol)
+            row = TailedValue(got.value[i], got.tail_bound[i], got.cutoff[i])
+            assert _partition_bits(row) == _partition_bits(want), x
+            cutoffs.add(want.cutoff == system.limit)
+        assert cutoffs == {True, False}
+
+
+def test_the_blocks_bound_the_memory_of_a_level():
+    """With only 1/x - 1/2 given, xmin walks to 9.5e-7, where every cutoff is the horizon;
+    in blocks of PAIRS_PER_BLOCK pairs a level holds a few blocks, not nodes x 2e4 pairs.
+    Only the memory is pinned: the value is the known defect of an expansion read as
+    exact past its last term."""
+    import tracemalloc
+
+    system = rational_primes(20000)
+    two_terms = expansion_from_json(
+        '[{"lambda": [1.0, 0.0], "coeffs": [[1.0, 0.0]]}, {"lambda": [0.0, 0.0], "coeffs": [[-0.5, 0.0]]}]'
+    )
+    partition_F(system, KERNELS["exp"], 1.0)  # the kept values are not the level's
+    tracemalloc.start()
+    try:
+        got = continue_Gzeta(system, KERNELS["exp"], two_terms, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.cutoff < 1e-6
+    assert peak <= 4 * 2**20
+
+
+def _exp_remainder_integral(s, xmin):
+    """int_0^xmin x^{s-1} (1/(e^x - 1) - F_N(x)) dx for the builtin exp expansion F_N,
+    whose Laurent series goes on with B_2k x^{2k-1} / (2k)! for k >= 3."""
+    z, a = mp.mpc(s), mp.mpf(xmin)
+    return mp.nsum(lambda k: mp.bernoulli(2 * k) / mp.factorial(2 * k) * a ** (z + 2 * k - 1) / (z + 2 * k - 1), [3, mp.inf])
+
+
+@pytest.mark.parametrize("s", [1.5, 2.5, complex(2, 1), complex(1.2, -0.5)])
+def test_the_continuation_is_its_integral_at_30_digits(naturals, s):
+    """Right of the pole the continuation integrates x^{s-1} (F - [x < 1] F_N) from xmin
+    and adds the pole terms, so it is Gamma(s) zeta(s) less the expansion remainder's
+    integral over (0, xmin]: the infinite system's, since F_N is.  It holds within the tail."""
+    got = continue_Gzeta(naturals, KERNELS["exp"], EXPANSIONS["exp"], s)
+    with mp.workdps(30):
+        want = mp.gamma(s) * mp.zeta(s) - _exp_remainder_integral(s, got.cutoff)
+        assert abs(mp.mpc(got.value) - want) <= got.tail_bound
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5, complex(1.5, 0.7), -0.75, complex(0.3, 1.0), complex(2.8, -1.9)])
+def test_each_theta_side_is_its_closed_form_at_30_digits(s):
+    """Both sides of the theta pair's functional equation are pi^{-s/2} Gamma(s/2) zeta(s) / 2,
+    at 1 - s and at s, each within QUAD_TARGET."""
+    spec1, spec2, _ = theta_pair()
+    ((_, side1, side2, _),) = check_fe_mellin(spec1, spec2, [s]).rows
+    with mp.workdps(30):
+        xi = lambda z: mp.pi ** (-z / 2) * mp.gamma(z / 2) * mp.zeta(z) / 2
+        assert abs(mp.mpc(side1) - xi(1 - mp.mpc(s))) <= QUAD_TARGET
+        assert abs(mp.mpc(side2) - xi(mp.mpc(s))) <= QUAD_TARGET
+
+
+def test_the_tail_fallback_on_an_algebraic_kernel_at_30_digits():
+    """u / (1 + u)^3 falls like u^-2 (beta = 2), so exp-sinh's upper end is set by where
+    the terms vanish, far out; mpmath's quadrature at 30 digits is the reference."""
+    from beurling.mellin import Kernel
+
+    heavy = Kernel("heavy", lambda u: u / (1.0 + u) ** 3, alpha=0.0, beta=2.0)
+    for lo, scale in ((1.0, 1.0), (64.0, 0.5), (1000.0, 0.01), (20000.0, 1e-6), (2.0, 1e3)):
+        with mp.workdps(30):
+            want = mp.quad(lambda t: t * scale / (1 + t * scale) ** 3, [lo, mp.inf])
+        assert heavy.tail(lo, scale) == pytest.approx(float(want), rel=1e-9), (lo, scale)
