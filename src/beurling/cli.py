@@ -34,8 +34,8 @@ from .zeta import TailedValue, phi_continued, phi_dirichlet, zeta_dirichlet, zet
 if TYPE_CHECKING:
     from .orders import OrderOracle
 
-# The mellin (and with it mpmath), orders and perron layers are imported by the
-# commands that use them, so a process pays only for the layers its command needs.
+# The mellin, orders and perron layers are imported by the commands that use
+# them, so a process pays only for the layers its command needs.
 
 
 MAX_GRID_POINTS = 10**6

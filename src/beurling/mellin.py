@@ -1,8 +1,9 @@
 """Kernel partition functions, Mellin transforms, and functional equations.
 
-A kernel g with g(x) = O(x^alpha) at 0+ (alpha < 1) and O(x^-beta) at
+A kernel g with g(x) = O(x^-alpha) at 0+ (alpha < 1) and O(x^-beta) at
 infinity (beta > 1, possibly inf) defines the partition function
-F(x) = sum_{n in N} g(n x) and the transform G(s) = int_0^inf x^{s-1} g.
+F(x) = sum_{n in N} g(n x) and the transform G(s) = int_0^inf x^{s-1} g,
+which converges on the strip alpha < Re s < beta.
 On the strip the product G(s) * zeta(s) equals int_0^inf x^{s-1} F(x) dx,
 and a verified asymptotic expansion of F at 0+ continues that integral to
 the left: the expansion part integrates in closed form to the pole sum
@@ -13,12 +14,13 @@ per term, the subtracted integrand is integrated on [xmin, 1], and the
 exp-sinh past 1) whose nested levels each read F once, at their new nodes,
 through the array form of `partition_F`.  It stops when two levels agree to
 QUAD_TARGET and reports their difference: an error estimate, not a bound.
-`mellin_G` alone still runs mpmath's quadrature.
+`mellin_G` runs the same rule on the folded integrand over [1, inf).
 
-Sign conventions: alpha here is the 0+ exponent as used for continuation
-(g = O(x^alpha)); the functional-equation statements use the opposite sign
-(g = O(x^{-alpha_r})), so alpha_r = -alpha at that interface.  Expansions
-are always supplied and verified, never fitted from data.
+Sign conventions: alpha is the 0+ exponent with g = O(x^-alpha), the sign
+the functional-equation statements use (g = O(x^{-alpha_r})), so
+alpha_r = alpha at that interface, and a kernel bounded at 0+ has
+alpha <= 0.  Expansions are always supplied and verified, never fitted
+from data.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .counting import _sorted_logs_leq
@@ -42,7 +43,7 @@ EXPANSION_MARGIN = 0.25  # how much faster than its last term a prefix's remaind
 FE_TOL = 1e-10  # a functional-equation residual whose tail budget passes this is inconclusive
 FE_POLE_SKIP = 1e-3  # s-grid points this close to a declared pole are skipped, not continued
 DE_STEP = 0.5  # the t-step of the double-exponential rule's first level
-DE_LEVELS = 7  # levels at most, the last at step DE_STEP / 2^6
+DE_LEVELS = 8  # levels at most, the last at step DE_STEP / 2^7
 PAIRS_PER_BLOCK = 1 << 15  # (x, n) pairs a partition_F block hands the kernel at once
 _EPS = 2.0**-52
 _U_MAX = math.log(sys.float_info.max) - 10  # past it exp-sinh's weight overflows
@@ -112,7 +113,9 @@ def _de_quad(f, a: float, b: float):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A continuous kernel on (0, inf) with certified endpoint exponents.
+    """A continuous kernel on (0, inf) with certified endpoint exponents:
+    g(x) = O(x^-alpha) at 0+ and O(x^-beta) at infinity, alpha < 1 < beta, so
+    its transform converges on alpha < Re s < beta.
 
     tail_integral(lo, scale) must bound int_lo^inf |g(t*scale)| dt; builtin
     kernels carry closed forms.  Custom kernels fall back to `_de_quad`'s
@@ -135,7 +138,7 @@ class Kernel:
     def tail(self, lo: float, scale: float) -> float:
         if self.tail_integral is not None:
             return float(self.tail_integral(lo, scale))
-        value, _ = _de_quad(lambda t: np.abs(_kernel_apply(self, t * scale)), lo, lo)
+        value, _ = _de_quad(lambda t: np.abs(_kernel_apply(self.evaluate, t * scale)), lo, lo)
         return float(value)
 
 
@@ -243,14 +246,14 @@ def _cached_values(system: GPrimeSystem) -> tuple[np.ndarray, np.ndarray]:
     return logs, np.exp(logs)
 
 
-def _kernel_apply(kernel: Kernel, arr: np.ndarray) -> np.ndarray:
+def _kernel_apply(evaluate: Callable, arr: np.ndarray) -> np.ndarray:
     try:
-        out = np.asarray(kernel.evaluate(arr))
+        out = np.asarray(evaluate(arr))
         if out.shape != arr.shape:
             raise TypeError
         return out
     except (TypeError, ValueError):
-        return np.asarray([kernel.evaluate(float(v)) for v in arr])
+        return np.asarray([evaluate(float(v)) for v in arr])
 
 
 def partition_F(
@@ -306,7 +309,7 @@ def partition_F(
             stop += 1
         block = counts[start:stop]
         u = np.concatenate([values[:k] for k in block]) * np.repeat(xs[start:stop], block)
-        g = _kernel_apply(kernel, u)
+        g = _kernel_apply(kernel.evaluate, u)
         lo = 0
         for i, k in enumerate(block, start):
             totals[i] = np.add.reduce(g[lo : lo + k])
@@ -320,38 +323,33 @@ def partition_F(
 def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
     """G(s) = int_0^inf x^{s-1} g(x) dx on the strip alpha < Re s < beta.
 
-    Tanh-sinh quadrature at mpmath's working precision after splitting at 1
-    and substituting x = e^{-t} and x = e^{t}; the quadrature error estimate
-    is reported.
+    One `_de_quad` run over [1, inf) of y^{s-1} g(y) + (1/y)^{s+1} g(1/y), whose
+    second term is the (0, 1] piece through x = 1/y.  A node where the kernel is
+    0, is not finite or raises OverflowError adds nothing: the declared exponents
+    make its weighted term negligible there.  The tail is the rule's level
+    difference, an estimate.
     """
     s = complex(s)
     if not (kernel.alpha < s.real < kernel.beta):
         raise StripError(
             f"Re s = {s.real} outside the transform strip ({kernel.alpha}, {kernel.beta})"
         )
-    sm = mp.mpc(s)
 
-    # at tanh-sinh extreme nodes a float-valued kernel saturates (inf/nan or
-    # OverflowError) even though the weighted integrand is negligible; the
-    # declared endpoint exponents guarantee those nodes contribute nothing
-    def _eval_kernel(x: float) -> complex:
-        if not math.isfinite(x) or x <= 0.0:
-            return 0.0
+    def g(u):
         try:
-            val = complex(kernel.evaluate(x))
-        except OverflowError:
+            return kernel.evaluate(u)
+        except OverflowError:  # an array call then falls back to one u at a time
             return 0.0
-        return val if math.isfinite(abs(val)) else 0.0
 
-    def low(t):  # x = e^{-t}, x^{s-1} dx = -e^{-st} dt
-        return mp.e ** (-sm * t) * _eval_kernel(float(mp.e ** (-t)))
+    def term(x: np.ndarray, p: complex) -> np.ndarray:  # x^p g(x) where g adds
+        gx = np.asarray(_kernel_apply(g, x), dtype=complex)
+        out = np.zeros_like(gx)
+        live = np.isfinite(gx) & (gx != 0)  # where g has vanished, x^p may overflow
+        out[live] = x[live] ** p * gx[live]
+        return out
 
-    def high(t):  # x = e^{t}
-        return mp.e ** (sm * t) * _eval_kernel(float(mp.e**t))
-
-    v1, e1 = mp.quad(low, [0, mp.inf], error=True)
-    v2, e2 = mp.quad(high, [0, mp.inf], error=True)
-    return TailedValue(complex(v1 + v2), float(e1 + e2), math.inf)
+    value, error = _de_quad(lambda y: term(y, s - 1) + term(1.0 / y, s + 1), 1.0, 1.0)
+    return TailedValue(complex(value), error, math.inf)
 
 
 @dataclass(frozen=True)

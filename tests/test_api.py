@@ -120,25 +120,22 @@ def test_only_systems_forms_the_log_top():
     assert not formers, "log tolerance formed outside systems.py: " + ", ".join(formers)
 
 
-def test_only_mellin_G_calls_mp_quad():
-    """The continuation, both sides of the functional-equation check and `Kernel.tail`'s
-    fallback share `mellin._de_quad`, a double-exponential rule in numpy that reads F
-    once per level.  mpmath's `quad` is left only in `mellin_G`."""
-    calls = []
+def test_no_library_module_imports_mpmath():
+    """The continuation, both sides of the functional-equation check, `Kernel.tail`'s
+    fallback and `mellin_G` share `mellin._de_quad`, a double-exponential rule in
+    numpy, so no module of the library imports mpmath; only the tests do."""
+    imports = []
     for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "mellin_G"
-            for node in ast.walk(fn)
-        }
-        calls += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and called_name(node) == "quad" and id(node) not in allowed
-        ]
-    assert not calls, "mp.quad called outside mellin_G: " + ", ".join(calls)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert not imports, "mpmath imported by the library: " + ", ".join(imports)
 
 
 def class_attributes(tree: ast.Module, module: str):

@@ -383,7 +383,9 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_exact_commands_import_no_analytic_layer():
-    """count, gen and zeta never load mpmath, subprocess or the mellin, orders and perron layers."""
+    """count, gen and zeta never load mpmath, subprocess or the mellin, orders and perron
+    layers; mellin's transform and continuation and fe-check load the mellin layer
+    but still not mpmath."""
     script = """
 import contextlib, io, sys
 from beurling.cli import main
@@ -395,13 +397,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     ]
 heavy = ("mpmath", "subprocess", "concurrent.futures", "beurling.mellin", "beurling.orders", "beurling.perron")
 print(codes, [m for m in heavy if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["mellin", "--kernel", "exp", "--s", "0.5", "--op", "transform"]),
+        main(["mellin", "--kernel", "exp", "--op", "continue", "--expansion", "exp",
+              "--system", "builtin:rationals", "--limit", "2000", "--s", "0.5"]),
+        main(["fe-check", "--pair", "theta"]),
+    ]
+print(codes, "mpmath" in sys.modules)
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env.pop("BEURLING_THREADS", None)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0] []\n"
+    assert done.stdout == "[0, 0, 0] []\n[0, 0, 0] False\n"
 
 
 def test_perron_with_x_plus_three_past_the_horizon(capsys):

@@ -11,8 +11,9 @@ nodes sorted by (v, i), and the five `count` runs that print a changed psi,
 the three `perron` runs and the `--method continued` zeta run from the
 prime-power table's compensated running sum, which psi reads, and the two
 `mellin --op continue` and two `fe-check ... --s-grid` runs from the
-double-exponential rule in numpy that replaced mpmath's quadrature there
-(Python 3.11.7, numpy 2.4.6, mpmath 1.3.0, x86-64).
+double-exponential rule in numpy that replaced mpmath's quadrature there,
+and the two `mellin --op transform` runs from the same rule, which replaced
+mpmath's quadrature in `mellin_G` too (Python 3.11.7, numpy 2.4.6, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -41,7 +42,7 @@ README_EXAMPLES = [
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
      "00daa3d60b70b5ade5cc69d8140f15b0b92aee253439be7784ffbc0f971e4f3c"),
     ("mellin --kernel exp --s 0.5 --op transform",
-     "e818057c8e9d1a361059668f8b75072db4915fc0e68e7f394b87eb5a3aad1ee7"),
+     "513871df2119b04de3c5afaed313f1c840627b858aea2f80b822d192b1538e2d"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
      "a6a9d6ca5d780ccf79462d2c67d0f540d3f1f2d1d2bef9272fb579f1f6524e11"),
     ("fe-check --pair theta --json",
@@ -73,7 +74,7 @@ MORE_INVOCATIONS = [
     ("mellin --kernel gauss --op continue --expansion gauss --system builtin:rationals --limit 10000 --s 0.5 --s 0.3+2i",
      "ac4d7e6d1d0e221b4686ab43bf4f7dfef0e3d242501606051ebfdf8990f40693"),
     ("mellin --kernel gauss --s 0.5 --s 1+1i --op transform --json",
-     "4252297fb6d4b5d62bc13d9a8339378794e5578c6bf1d58c0ee275091f7d0d29"),
+     "005252d5dcd3c401d7d994c61a267d29fea833af7da1c67771e5f384b43ec8a1"),
     ("fe-check --pair theta --s-grid 0.3+1i,0.7-2i",
      "e4c3c18eafc3cfd8fc1d9bba8baafb02708807c927b0545ba450ded473351458"),
     ("count --system builtin:gaussian --limit 10000 --grid 1:10000:7",

@@ -115,15 +115,57 @@ def test_mellin_G_strip_error():
 
 
 def test_finite_beta_kernel_strip():
+    """u / (1 + u)^3 falls like u^-2 (beta = 2), and its transform is the beta
+    function, G(s) = Gamma(s + 1) Gamma(2 - s) / 2, even next to the strip's
+    right edge, where mpmath's quadrature at 30 digits is 4e-3 off at s = 1.9."""
     from beurling.mellin import Kernel
 
-    # g ~ x^{-2} at infinity: transform strip is (0, 2)
     heavy = Kernel("heavy", lambda u: u / (1.0 + u) ** 3, alpha=0.0, beta=2.0)
-    got = mellin_G(heavy, 1.5)
-    oracle = complex(mp.quad(lambda x: x ** (1.5 - 1) * x / (1 + x) ** 3, [0, mp.inf]))
-    assert abs(got.value - oracle) <= 1e-8
+    for s in (1.5, 0.3, 1.9, 1 + 3j):
+        with mp.workdps(30):
+            truth = complex(mp.gamma(s + 1) * mp.gamma(2 - s) / 2)
+        assert abs(mellin_G(heavy, s).value - truth) <= 1e-9, s
     with pytest.raises(StripError):
         mellin_G(heavy, 2.5)
+
+
+def test_a_kernel_that_overflows_far_out_adds_nothing_there():
+    """math.expm1 raises OverflowError past u = 709, where u / (e^u - 1) has long
+    vanished: those nodes add nothing, and G(s) = Gamma(s + 1) zeta(s + 1)."""
+    from beurling.mellin import Kernel
+
+    kernel = Kernel("x", lambda u: u / math.expm1(u), 0.0, math.inf)
+    for s in (1.5, 0.5 + 2j):
+        with mp.workdps(30):
+            truth = complex(mp.gamma(s + 1) * mp.zeta(s + 1))
+        assert abs(mellin_G(kernel, s).value - truth) <= 1e-14, s
+
+
+def test_mellin_G_over_the_bench_strip_at_30_digits():
+    """exp and gauss against Gamma(s) and pi^(-s/2) Gamma(s/2) / 2 on a grid over
+    0.2 <= Re s <= 4, |Im s| <= 5, corners included, and at two points where
+    mpmath's quadrature was off by 1e-5 and 1.5e-2."""
+    grid = [complex(re, im) for re in np.linspace(0.2, 4.0, 8) for im in np.linspace(-5.0, 5.0, 11)]
+    with mp.workdps(30):
+        for s in grid + [0.672 + 4.790j, 0.3 + 4.9j]:
+            z = mp.mpc(s)
+            truths = {"exp": mp.gamma(z), "gauss": mp.pi ** (-z / 2) * mp.gamma(z / 2) / 2}
+            for name, truth in truths.items():
+                assert abs(mellin_G(KERNELS[name], s).value - complex(truth)) <= 1e-14, (name, s)
+
+
+def test_the_strip_starts_at_the_0_exponent_alpha():
+    """g(u) = u^(-1/2) e^-u is O(u^-alpha) at 0+ with alpha = 1/2, so its transform
+    Gamma(s - 1/2) converges for Re s > 1/2 only."""
+    from beurling.mellin import Kernel
+
+    kernel = Kernel("half", lambda u: np.exp(-u) / np.sqrt(u), alpha=0.5, beta=math.inf)
+    with pytest.raises(StripError):
+        mellin_G(kernel, 0.3)
+    for s in (1.5, 0.75 + 1j):
+        with mp.workdps(30):
+            truth = complex(mp.gamma(s - 0.5))
+        assert abs(mellin_G(kernel, s).value - truth) <= 1e-14, s
 
 
 def test_partition_x_validation(naturals):
