@@ -305,10 +305,12 @@ def cmd_mellin(args) -> int:
         header = S_HEADER + ["tail_bound"]
     else:  # partition
         system = _load_system(args, args.system)
-        rows = []
-        for x in map(float, args.x):
-            r = partition_F(system, kernel, x)
-            rows.append([_fmt(x), _fmt(r.value.real), _fmt(r.value.imag), _fmt(r.tail_bound)])
+        xs = [float(x) for x in args.x]
+        r = partition_F(system, kernel, xs)  # each entry is the one-x call's, bit for bit
+        rows = [
+            [_fmt(x), _fmt(F.real), _fmt(F.imag), _fmt(tail)]
+            for x, F, tail in zip(xs, r.value.tolist(), r.tail_bound.tolist())
+        ]
         header = ["x", "F_re", "F_im", "tail_bound"]
     _emit(args, header, rows)
     return 0

@@ -247,13 +247,23 @@ def _cached_values(system: GPrimeSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_apply(evaluate: Callable, arr: np.ndarray) -> np.ndarray:
+    """The kernel over an array.  A kernel that takes scalars only, or whose array
+    call raises OverflowError, runs one u at a time, and a u where it raises
+    OverflowError gives 0: the declared exponents make it negligible there."""
     try:
         out = np.asarray(evaluate(arr))
         if out.shape != arr.shape:
             raise TypeError
         return out
-    except (TypeError, ValueError):
-        return np.asarray([evaluate(float(v)) for v in arr])
+    except (TypeError, ValueError, OverflowError):
+        return np.asarray([_kernel_at(evaluate, float(v)) for v in arr])
+
+
+def _kernel_at(evaluate: Callable, u: float):
+    try:
+        return evaluate(u)
+    except OverflowError:
+        return 0.0
 
 
 def partition_F(
@@ -335,14 +345,8 @@ def mellin_G(kernel: Kernel, s: complex) -> TailedValue:
             f"Re s = {s.real} outside the transform strip ({kernel.alpha}, {kernel.beta})"
         )
 
-    def g(u):
-        try:
-            return kernel.evaluate(u)
-        except OverflowError:  # an array call then falls back to one u at a time
-            return 0.0
-
     def term(x: np.ndarray, p: complex) -> np.ndarray:  # x^p g(x) where g adds
-        gx = np.asarray(_kernel_apply(g, x), dtype=complex)
+        gx = np.asarray(_kernel_apply(kernel.evaluate, x), dtype=complex)
         out = np.zeros_like(gx)
         live = np.isfinite(gx) & (gx != 0)  # where g has vanished, x^p may overflow
         out[live] = x[live] ** p * gx[live]

@@ -138,6 +138,31 @@ def test_no_library_module_imports_mpmath():
     assert not imports, "mpmath imported by the library: " + ", ".join(imports)
 
 
+def test_no_library_module_reads_an_fft_or_a_bessel_function():
+    """Perron sums its truncated integral in closed form, one exponential integral
+    per prime power: the non-uniform FFT of the contour's trapezoid, its grid and
+    its Kaiser-Bessel kernel went with it, and no module of the library reads
+    `np.fft` or `np.i0`, by attribute or by import."""
+    banned = {"fft", "i0"}
+    uses = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in banned and getattr(node.value, "id", None) in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[:2] == ["numpy", "fft"] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")
+                hit = module[:2] == ["numpy", "fft"] or (
+                    module == ["numpy"] and any(alias.name in banned for alias in node.names)
+                )
+            else:
+                continue
+            if hit:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert not uses, "np.fft or np.i0 read by the library: " + ", ".join(uses)
+
+
 def class_attributes(tree: ast.Module, module: str):
     """(label, name) of each dataclass field, `self.x =` attribute, method and
     property of the classes in a module, dunders excepted."""

@@ -7,13 +7,15 @@ the last two `gen` runs from the heap stream, before the sorted stream was
 read off the walk, the `order coincide` witness from the bracket search,
 before orderings_coincide took brackets in closed form, the two `--method
 dirichlet` and two `--method mellin` zeta runs from the Dirichlet sum over the
-nodes sorted by (v, i), and the five `count` runs that print a changed psi,
-the three `perron` runs and the `--method continued` zeta run from the
-prime-power table's compensated running sum, which psi reads, and the two
+nodes sorted by (v, i), and the five `count` runs that print a changed psi
+and the `--method continued` zeta run from the prime-power table's
+compensated running sum, which psi reads, and the two
 `mellin --op continue` and two `fe-check ... --s-grid` runs from the
 double-exponential rule in numpy that replaced mpmath's quadrature there,
-and the two `mellin --op transform` runs from the same rule, which replaced
-mpmath's quadrature in `mellin_G` too (Python 3.11.7, numpy 2.4.6, x86-64).
+the two `mellin --op transform` runs from the same rule, which replaced
+mpmath's quadrature in `mellin_G` too, and the three `perron` runs from
+the closed form, one exponential integral per prime power, that replaced the
+contour's trapezoid (Python 3.11.7, numpy 2.4.6, x86-64).
 Every value is printed with repr(), so a numpy or libm that rounds
 one exp or log differently changes a hash; on another platform, re-record
 the hashes from a trusted commit before comparing.  `BEURLING_THREADS` is
@@ -38,9 +40,9 @@ README_EXAMPLES = [
     ("zeta --system builtin:rationals --limit 10000 --s 3 --method mellin",
      "2c14dfb82e92950663fd5a9fb1b862c747f3a58ec9808f60284ce4d8d36884c1"),
     ("perron --system builtin:rationals --limit 10000 --x 1000.5 --T 10000",
-     "026697e5e7b183a03e0117c7617c411d88977d40236eb2bbad8eb4adbd653047"),
+     "c838a74ed97d927ba529088e9b10763a4ba5258ad37d514060486f0bd279b816"),
     ("perron --system builtin:rationals --limit 10000 --x 500.5 --scan 100,1000,10000",
-     "00daa3d60b70b5ade5cc69d8140f15b0b92aee253439be7784ffbc0f971e4f3c"),
+     "f57b00041ab5a5e312dfa1111586ae0cc2832e0bda7a4143a6c91ba89b91f2c5"),
     ("mellin --kernel exp --s 0.5 --op transform",
      "513871df2119b04de3c5afaed313f1c840627b858aea2f80b822d192b1538e2d"),
     ("mellin --kernel exp --op continue --expansion exp --system builtin:rationals --limit 20000 --s 0.5",
@@ -84,7 +86,7 @@ MORE_INVOCATIONS = [
     ("count --system list:2,2,3.5 --limit 500 --grid 1:500:0.5",
      "0bc3e7448e5e8eef3dd886dcf5c0470fab0e3b48d35c577c39280fb703d31526"),
     ("perron --system builtin:gaussian --limit 10000 --x 2000.5 --T 1000",
-     "2df74ad8e1ed37aa02bbc944e77d1a984b8da383b31561574d8ee369626e95c2"),
+     "9fc232667676a3285d371a3ed3fd9e07da2d8f4a8456bdc5e7631f8501dbf06c"),
     ("gen --system builtin:gaussian --limit 200 --bound 200",
      "7668755329decfb6d90b946098e871491516c4928ba9df3d3635ef2982802d89"),
     ("gen --system list:2,2,3 --limit 100 --bound 10 --power 0.5",

@@ -4,7 +4,6 @@ Each case starts from a cheap valid argv and substitutes one value from a
 fixed pool.  `main` must return 0, 1 or 2 without raising; a non-zero exit
 writes exactly one stderr line and nothing to stdout.
 """
-import math
 import shlex
 
 import pytest
@@ -173,8 +172,7 @@ def test_phase_overflow_is_a_parameter_error(method, in_workdir, capsys):
         # the sieve's mask would take 931 GiB, or more elements than numpy allows
         "count --system builtin:rationals --limit 1e12 --grid 1:10:1",
         "count --system builtin:rationals --limit 1e300 --grid 1:10:1",
-        # a grid of 2T/step nodes, and an x^c that overflows into a nan budget
-        "perron --system builtin:rationals --limit 1e4 --x 100.5 --T 1e300",
+        # an x^c that overflows into a nan budget
         "perron --system builtin:rationals --limit 1e4 --x 100.5 --T 10 --c 1e300",
         # x^(1 - s) at the Mellin walk's first x
         "fe-check --pair theta --s-grid 1e300",
@@ -188,25 +186,36 @@ def test_inputs_past_the_machine_are_refused(argv, in_workdir, alarm, capsys):
     assert out.err.startswith("error: ")
 
 
-def _past_the_node_cap(x=100.5):
-    from beurling.perron import MAX_NODES, PerronParams
-
-    return math.nextafter(MAX_NODES * PerronParams(x=x, T=1.0).step / 2, math.inf)
-
-
 @pytest.mark.parametrize(
     "argv,code",
     [
-        ("perron --system list:2,3 --limit 100 --x 10.5 --T 1e-300", 0),  # a 3-node line
-        (f"perron --system builtin:rationals --limit 1e4 --x 100.5 --T {_past_the_node_cap()!r}", 1),
+        ("perron --system list:2,3 --limit 100 --x 10.5 --T 1e-300", 0),
+        # 2T/step = 1e7 + 1 trapezoid nodes, refused while Perron ran on a grid
+        ("perron --system builtin:rationals --limit 1e4 --x 100.5 --T 425906.34085718304", 0),
         ("perron --system list:2,3 --limit 5.2 --x 2.5 --T 10", 0),
         ("perron --system builtin:rationals --limit 1000 --power 1.5 --x 150.5 --T 300", 0),
         ("perron --system builtin:rationals --limit 1000 --power 1.5 --x 150.5 --scan 10,100,300", 0),
+        ("perron --system list:2,3 --limit 100 --x 3.5 --T 1e-3", 0),
+        ("perron --system builtin:rationals --limit 1e4 --x 100.5 --T 0.01", 0),
+        ("perron --system builtin:rationals --limit 1e4 --x 100.5 --T 1e14", 0),
+        ("perron --system builtin:rationals --limit 1e4 --x 100.5 --T 1e300", 0),  # refused with the grid too
+        ("perron --system list:2,3 --limit 1e300 --x 1e250 --T 1", 1),  # |w| past the series' reach
     ],
-    ids=["3 nodes", "past MAX_NODES", "x + 3 past the horizon", "power system", "power system scan"],
+    ids=[
+        "T = 1e-300",
+        "past the old node cap",
+        "x + 3 past the horizon",
+        "power system",
+        "power system scan",
+        "T = 1e-3 at x = 3.5",
+        "T = 0.01",
+        "T = 1e14",
+        "T = 1e300",
+        "x = 1e250",
+    ],
 )
 def test_perron_edges_end_in_an_exit_code(argv, code, in_workdir, alarm, capsys):
-    """The line sums' edges: a run ends with its exit code and at most one stderr line."""
+    """The closed form's edges: a run ends with its exit code and at most one stderr line."""
     assert main(shlex.split(argv)) == code
     out = capsys.readouterr()
     assert len(out.err.splitlines()) == (code != 0)

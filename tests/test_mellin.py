@@ -141,6 +141,25 @@ def test_a_kernel_that_overflows_far_out_adds_nothing_there():
         assert abs(mellin_G(kernel, s).value - truth) <= 1e-14, s
 
 
+def test_a_scalar_kernel_that_overflows_gives_a_finite_partition_function():
+    """The same kernel through `partition_F` and `Kernel.tail`, whose exp-sinh rule
+    reaches u past expm1's range: those u add 0, and F(0.5) is the sum of u / expm1(u)
+    over the g-integers n <= cutoff, u = n / 2, the rationals' n being the integers."""
+    from beurling.mellin import Kernel
+
+    def g(u):
+        return u / math.expm1(u) if u < 709.0 else 0.0  # expm1 overflows past 709.78
+
+    kernel = Kernel("x", lambda u: u / math.expm1(u), 0.0, math.inf)
+    res = partition_F(rational_primes(1000), kernel, 0.5)
+    want = math.fsum(g(n * 0.5) for n in range(1, int(res.cutoff) + 1))
+    assert res.value.imag == 0.0 and abs(res.value.real - want) <= 1e-15 * want
+    assert 0.0 <= res.tail_bound < 1e-15
+    with mp.workdps(20):
+        tail = float(mp.quad(lambda t: t * 0.5 / mp.expm1(t * 0.5), [4, mp.inf]))
+    assert abs(kernel.tail(4.0, 0.5) - tail) <= 1e-9 * tail
+
+
 def test_mellin_G_over_the_bench_strip_at_30_digits():
     """exp and gauss against Gamma(s) and pi^(-s/2) Gamma(s/2) / 2 on a grid over
     0.2 <= Re s <= 4, |Im s| <= 5, corners included, and at two points where

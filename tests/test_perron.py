@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from fractions import Fraction
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,18 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beurling import from_list, gap_window, gaussian_system, power_system, psi, rational_primes
-from beurling.counting import PIECE, prime_power_table
-from beurling.errors import IncompleteSystemError, ParameterError, UnstablePointError
-from beurling.perron import (
-    KERNEL_WIDTH,
-    PerronParams,
-    _half_grid,
-    _line_sums,
-    _two_product,
-    perron_convergence_scan,
-    perron_psi,
-)
+from beurling import from_list, gap_window, gaussian_system, perron, power_system, psi, rational_primes
+from beurling.counting import prime_power_table
+from beurling.errors import DivergenceError, IncompleteSystemError, ParameterError, UnstablePointError
+from beurling.perron import PerronParams, ein, perron_convergence_scan, perron_psi
 
 
 def test_single_prime_recovery():
@@ -79,7 +71,7 @@ def test_param_validation():
         PerronParams(x=10, T=-1)
     with pytest.raises(ParameterError):
         PerronParams(x=10, T=100, c=0.9)
-    for c in (None, 1.5):  # x = inf is named, not reached through c or the step
+    for c in (None, 1.5):  # x = inf is named, not reached through c
         with pytest.raises(ParameterError, match=r"^perron needs 2 < x < inf, got inf$"):
             PerronParams(x=math.inf, T=10, c=c)
 
@@ -104,115 +96,47 @@ def test_scan_single_prime():
     assert scan.errors()[-1] <= 1e-2
 
 
-def _line_inputs(system, x, T):
-    """perron_psi's L, wc and t, the prime powers' logs and weights w e^{-cL} and the
-    half grid t_j = j h, and the x^s/s at s = c + i t that its line sums weigh."""
-    params = PerronParams(x=x, T=T)
-    L, W = prime_power_table(system, min(x * x, system.limit))
-    t = _half_grid(T, params.step)
-    s = params.c + 1j * t
-    return L, W * np.exp(-params.c * L), t, np.exp(s * math.log(x)) / s
-
-
-@pytest.mark.parametrize("x, T", [(150.5, 1.0), (1000.5, 1e3), (1000.5, 1e4), (2500.5, 1e4)])
-def test_the_half_grid_steps_by_T_over_m_exactly(rp1e4, x, T):
-    """The line sums take node j at j t[1]: on the half grid that is linspace's own
-    step T/m, so their nodes do not drift from the grid's."""
-    params = PerronParams(x=x, T=T)
-    t = _half_grid(T, params.step)
-    m = len(t) - 1
-    assert m % 2 == 0 and m >= T / params.step
-    assert t[0] == 0.0 and t[-1] == T and t[::2][-1] == T
-    assert t[1] - t[0] == T / m
-    assert perron_psi(rp1e4, params).nodes == m + 1
-
-
-def _direct_line_sums(L, wc, g, h):
-    """_line_sums term by term: sum_k wc_k sum_j w_j Re(g_j e^{-i j h L_k}) / pi, w the fine
-    and the step-doubled trapezoid weights.  Each h L_k / 2pi is taken from mpmath at 40
-    digits as hi + lo, and hi split at 2^-26, so j times its top part is exact and the
-    phase j h L_k / 2pi reaches its fraction of a turn good to about 2^-53."""
-    with mpmath.workdps(40):
-        u = [mpmath.mpf(h) * mpmath.mpf(v) / (2 * mpmath.pi) for v in L.tolist()]
-        hi = np.array([float(v) for v in u])
-        lo = np.array([float(v - mpmath.mpf(float(v))) for v in u])
-    top = np.floor(hi * 2.0**26) / 2.0**26
-    m = len(g) - 1
-    j = np.arange(m + 1, dtype=float)[:, None]
-    fine = np.full(m + 1, h)
-    fine[[0, m]] = h / 2
-    coarse = np.where(np.arange(m + 1) % 2 == 0, 2 * h, 0.0)
-    coarse[[0, m]] = h
-    weights = np.array([fine, coarse])
-    sums = np.zeros(2)
-    step = max(1, 2**20 // (m + 1))  # terms a block of phases holds
-    for a in range(0, len(L), step):
-        turns = j * top[a : a + step]
-        turns -= np.floor(turns)
-        turns += j * (hi[a : a + step] - top[a : a + step]) + j * lo[a : a + step]
-        line = weights * g.real @ np.cos(2 * math.pi * turns) + weights * g.imag @ np.sin(2 * math.pi * turns)
-        sums += line @ wc[a : a + step]
-    return tuple(sums / math.pi)
-
-
-LINE_CASES = {  # x, T, and perron_psi's value and budget.quadrature, bit for bit
-    "3 nodes": (150.5, 1e-300, "0x1.0b1ab4de865b7p-988", "0x0.00032aaaaaaabp-1022"),
-    "1279 nodes": (150.5, 100.0, "0x1.270e795777b7bp+7", "0x1.5e7f913880000p-11"),
-    "17593 nodes": (1000.5, 1e3, "0x1.f2d6ab789201fp+9", "0x1.2ce5ee6000000p-14"),
-    "ten pieces of terms": (400.5, 100.0, "0x1.8effa5e060014p+8", "0x1.f74fd8e22aaabp-9"),
-    "repeated primes": (150.5, 300.0, "0x1.b4d57b071267dp+4", "0x1.ce0e86a7d5555p-12"),
-    "power system": (150.5, 300.0, "0x1.2d0b827aaf48cp+5", "0x1.7c544885d5555p-13"),
+CLOSED_FORM_CASES = {  # x, T, and perron_psi's value and budget.quadrature, bit for bit
+    "T = 1e-300": (150.5, 1e-300, "0x1.0b1ab4de865c7p-988", "0x1.a22228cbd0e65p-34"),
+    "T = 100": (150.5, 100.0, "0x1.270e4da2cc9b8p+7", "0x1.6c55fb290318fp-35"),
+    "T = 1000": (1000.5, 1e3, "0x1.f2d6aca364120p+9", "0x1.7eaa0d24713d4p-33"),
+    "9,700 terms": (400.5, 100.0, "0x1.8f00231e4b528p+8", "0x1.5d70c1029a602p-31"),
+    "repeated primes": (150.5, 300.0, "0x1.b4d495301be06p+4", "0x1.f6012392c1118p-42"),
+    "power system": (150.5, 300.0, "0x1.2d0b53129287dp+5", "0x1.e7ea68dd4c5e8p-39"),
 }
 
 
-@pytest.mark.parametrize("case", LINE_CASES)
-def test_line_sums_are_the_direct_trapezoid(rp1e4, rp1e5, case):
+def first_order_perron(system, x, T, c):
+    """(T/pi) sum_n Lambda(n) (x/n)^c / c, in mpmath at 30 digits: I_T to relative
+    O(T^2), which at T = 1e-300 is exact where the 30-digit closed form cancels."""
+    L, W = prime_power_table(system, min(x * x, system.limit))
+    with mpmath.workdps(30):
+        lx, c = mpmath.log(x), mpmath.mpf(c)
+        total = sum(w * mpmath.exp(c * (lx - logn)) / c for logn, w in zip(L.tolist(), W.tolist()))
+        return float(mpmath.mpf(T) / mpmath.pi * total)
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_the_closed_form_is_within_its_rounding_bound_of_I_T(rp1e4, rp1e5, case):
     system = {
-        "3 nodes": rp1e4,
-        "1279 nodes": rp1e4,
-        "17593 nodes": rp1e4,
-        "ten pieces of terms": rp1e5,  # 9,700 terms, 1,024 to a piece
+        "T = 1e-300": rp1e4,
+        "T = 100": rp1e4,
+        "T = 1000": rp1e4,
+        "9,700 terms": rp1e5,
         "repeated primes": from_list([2.0, 2.0, 3.0, 3.0, 5.0, 7.5], limit=2000),
         "power system": power_system(rp1e4, 1.5),
     }[case]
-    x, T, value, quadrature = LINE_CASES[case]
-    L, wc, t, g = _line_inputs(system, x, T)
-    if case == "3 nodes":
-        assert len(t) == 3
-    if case == "ten pieces of terms":
-        assert 9 * PIECE // (4 * KERNEL_WIDTH) < len(L) <= 10 * PIECE // (4 * KERNEL_WIDTH)
-    got = _line_sums(L, wc, x, PerronParams(x=x, T=T).c, t)
-    want = _direct_line_sums(L, wc, g, t[1])
-    assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(got, want)), (got, want)
-    res = perron_psi(system, PerronParams(x=x, T=T))
+    x, T, value, quadrature = CLOSED_FORM_CASES[case]
+    params = PerronParams(x=x, T=T)
+    res = perron_psi(system, params)
     assert (res.value.hex(), res.budget.quadrature.hex()) == (value, quadrature)
-
-
-@pytest.mark.parametrize(
-    "x, T, power", [(1000.5, 1e3, None), (150.5, 300.0, 1.5)], ids=["17593 nodes", "power system"]
-)
-def test_the_step_doubled_sum_is_the_fine_sum_of_every_other_node(rp1e4, x, T, power):
-    """The coarse sum, read at theta and theta + pi off the fine grid's FFT, is the fine sum
-    of the grid t[::2] (m divisible by 4, so that grid's own m is even)."""
-    system = rp1e4 if power is None else power_system(rp1e4, power)
-    L, wc, t, _ = _line_inputs(system, x, T)
-    assert (len(t) - 1) % 4 == 0
-    c = PerronParams(x=x, T=T).c
-    _, coarse = _line_sums(L, wc, x, c, t)
-    fine_of_every_other, _ = _line_sums(L, wc, x, c, t[::2])
-    assert abs(coarse - fine_of_every_other) <= 1e-13 * abs(coarse), (coarse, fine_of_every_other)
-
-
-def test_two_product_is_exact():
-    """p + e is a * b exactly, at the phase's own h / 2pi and at random pairs over many binades."""
-    rng = np.random.default_rng(22)
-    a, b = rng.uniform(-1, 1, (2, 200)) * 2.0 ** rng.integers(-30, 30, (2, 200))
-    a = np.concatenate([[0.1 / (2 * math.pi), 2 * math.pi], a])
-    b = np.concatenate([[math.log(9973.0), 1.0], b])
-    p, e = _two_product(a, b)
-    for ai, bi, pi, ei in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()):
-        assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi), (ai, bi)
-        assert pi == ai * bi
+    assert res.nodes == len(prime_power_table(system, min(x * x, system.limit))[0])
+    if T < 1e-100:
+        exact = first_order_perron(system, x, T, params.c)
+        assert abs(res.value - exact) <= 1e-15 * exact  # no cancellation as T -> 0
+    else:
+        exact = truncated_perron(system, x, T, params.c)
+    assert abs(res.value - exact) <= res.budget.quadrature
 
 
 def _traced_peak(system, params):
@@ -225,26 +149,25 @@ def _traced_peak(system, params):
         tracemalloc.stop()
 
 
-def test_the_peak_follows_the_nodes_not_the_terms(rp1e4, rp1e5):
-    """At the same x and T (so the same nodes), 1,280 terms and 9,700 terms peak alike:
-    the FFT's grid and the line's arrays, under eight complex numbers a node, are the
-    peak, not a nodes x terms table."""
+def test_the_peak_follows_the_terms(rp1e4, rp1e5):
+    """At the same x and T, 1,280 terms and 9,700 terms each peak under 40 floats a
+    term: the closed form holds a few arrays of one entry per prime power, and T
+    sets no grid."""
     params = PerronParams(x=1000.5, T=1e4)
-    nodes = len(_half_grid(params.T, params.step))
-    small, large = _traced_peak(rp1e4, params), _traced_peak(rp1e5, params)
-    assert large < 1.1 * small
-    assert large < 8 * nodes * 16
+    for system in (rp1e4, rp1e5):
+        terms = perron_psi(system, params).nodes
+        assert _traced_peak(system, params) < 40 * 8 * terms
 
 
 def test_a_run_the_table_guard_refused_completes(rp1e6):
     """The phase tables' 2 GiB guard refused x = 1000.5, T = 5e4 on the 1e6 rationals
-    (2.2 GiB of tables for 78,734 terms); the line sums need O(nodes) and run it."""
+    (2.2 GiB of tables for 78,734 terms); the closed form needs under 40 floats a term."""
     params = PerronParams(x=1000.5, T=5e4)
-    nodes = len(_half_grid(params.T, params.step))
     peak = _traced_peak(rp1e6, params)
     res = perron_psi(rp1e6, params)
+    assert res.nodes == 78734
     assert abs(res.value - psi(rp1e6, 1000.5)) <= res.budget.total
-    assert peak < 8 * nodes * 16
+    assert peak < 40 * 8 * res.nodes
 
 
 @pytest.mark.parametrize("x", [100.5, np.float64(100.5)], ids=["float", "numpy-float"])
@@ -253,11 +176,6 @@ def test_overflowing_x_to_the_c_is_refused(x):
     with a warning where Python's raises, so the check must not rest on it."""
     with pytest.raises(ParameterError, match="x\\^c overflows"):
         PerronParams(x=x, T=10, c=1e300)
-
-
-def test_a_grid_past_the_node_cap_is_refused():
-    with pytest.raises(ParameterError, match="quadrature nodes"):
-        PerronParams(x=100.5, T=1e300)
 
 
 def test_near_range_past_the_horizon_is_refused():
@@ -310,12 +228,21 @@ def test_the_closed_form_term_is_the_integral():
         ("rationals", 2500.5, 1e4),
         ("rationals", 1000.5, 1e3),
         ("gaussian", 2000.5, 1e3),
+        ("list:2,3", 3.5, 1e-3),
+        ("rationals", 100.5, 0.01),
+        ("rationals", 4000.5, 1.3),
+        ("rationals", 100.5, 1e14),
+        ("rationals", 1000.5, 1e14),
     ],
 )
 def test_each_budget_term_bounds_its_own_error(rp1e4, system, x, T):
-    """The trapezoid is within budget.quadrature of the exact truncated integral, and
-    that integral within the lemma's far + near of psi(x)."""
-    system = rp1e4 if system == "rationals" else gaussian_system(10**4)
+    """The closed form's sum is within budget.quadrature of the exact truncated
+    integral, and that integral within the lemma's far + near of psi(x)."""
+    system = {
+        "rationals": rp1e4,
+        "gaussian": gaussian_system(10**4),
+        "list:2,3": from_list([2.0, 3.0], limit=100),
+    }[system]
     params = PerronParams(x=x, T=T)
     res = perron_psi(system, params)
     exact = truncated_perron(system, x, T, params.c)
@@ -335,3 +262,83 @@ def test_each_budget_term_bounds_its_own_error_at_random_points(rp1e4, n, log_T)
     exact = truncated_perron(rp1e4, params.x, params.T, params.c)
     assert abs(res.value - exact) <= res.budget.quadrature
     assert abs(exact - psi(rp1e4, params.x)) <= res.budget.far_term + res.budget.near_term
+
+
+@pytest.mark.parametrize("T", [425906.34085718304, 1e300], ids=["past the old node cap", "T = 1e300"])
+def test_a_height_the_grid_refused_runs_within_its_budget(rp1e4, T):
+    """A trapezoid of 2T/step nodes refused these heights at x = 100.5; the closed
+    form sums the same 1,280 terms at any T.  At T = 1e300 the lemma's terms are
+    about 1e-300, below psi's own rounding, so only the rounding bound is checked
+    against I_T there."""
+    params = PerronParams(x=100.5, T=T)
+    res = perron_psi(rp1e4, params)
+    exact = truncated_perron(rp1e4, 100.5, T, params.c)
+    assert abs(res.value - exact) <= res.budget.quadrature
+    assert abs(res.value - psi(rp1e4, 100.5)) <= res.budget.total
+    if T < 1e100:
+        assert abs(exact - psi(rp1e4, 100.5)) <= res.budget.far_term + res.budget.near_term
+
+
+def _ein_40(w):
+    """Ein(w) = E1(w) + log w + gamma from mpmath.e1 at 40 digits, where the sum
+    loses at most a digit for the |w| >= 1/2 below."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(w)
+        return complex(mpmath.e1(w) + mpmath.log(w) + mpmath.euler)
+
+
+def _polar(r, theta):
+    return complex(r * math.cos(theta), r * math.sin(theta))
+
+
+EIN_POINTS = {
+    # the series' circle, on it and just either side, all the way round
+    "|w| = 4": [_polar(4 * f, k * math.pi / 12) for f in (1 - 1e-12, 1, 1 + 1e-12) for k in range(-11, 13)],
+    # the series' 45 degree wedge about the negative real axis, on and either side of its edge
+    "45 degrees": [
+        _polar(r, sign * (3 * math.pi / 4 + d))
+        for r in (4.5, 8, 15, 26)
+        for d in (-1e-9, 0, 1e-9)
+        for sign in (1, -1)
+    ],
+    # next to the cut, where the continued fraction would not settle
+    "next to the cut": [_polar(r, sign * (math.pi - 1e-12)) for r in (0.5, 2, 4, 8, 15) for sign in (1, -1)],
+    # Perron's directions: |Re w| <= 2c log x for x up to 2e5, |Im w| to 1e14 and 1e300
+    "large |w|": [
+        complex(re, sign * im)
+        for re in (-26, -5, -0.01, 0.01, 5, 26)
+        for im in (10, 1e4, 1e14, 1e300)
+        for sign in (1, -1)
+    ],
+    "random": list(np.random.default_rng(31).uniform(-30, 30, (40, 2)) @ [1, 1j]),
+}
+
+
+@pytest.mark.parametrize("region", EIN_POINTS)
+def test_ein_is_within_its_error_bound_of_mpmath(region):
+    """Each element of ein is within the error it reports, the one budget.quadrature
+    adds, of mpmath's E1(w) + log w + gamma."""
+    w = np.array(EIN_POINTS[region])
+    values, errors = ein(w)
+    for wk, value, error in zip(w.tolist(), values.tolist(), errors.tolist()):
+        assert abs(value - _ein_40(wk)) <= error, wk
+        assert error <= 1e-10 * max(1.0, abs(value)), wk
+
+
+@pytest.mark.parametrize("w", [4.0, 3 + 3j, -6 - 1j], ids=["series", "fraction", "wedge"])
+def test_an_element_that_has_not_settled_raises(monkeypatch, w):
+    """Under a cap of 5 steps, the series at |w| = 4 (it runs to k >= 2|w|) and the
+    fraction at 3 + 3i have not settled: ein raises rather than return them."""
+    assert np.isfinite(ein([w])[0]).all()
+    monkeypatch.setattr(perron, "MAX_ITERATIONS", 5)
+    with pytest.raises(DivergenceError, match="did not settle in 5 steps"):
+        ein([1e14j, w])
+
+
+def test_the_series_past_its_reach_raises_without_a_warning():
+    """Past |w| = MAX_ITERATIONS / 2 in the wedge the series cannot settle, and its
+    terms overflow first: ein raises, and numpy's overflow warnings stay silent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="series did not settle in 1000 steps"):
+            ein([-576 - 575j])
